@@ -10,9 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .series import (TruncatedSeries, binom_multi, factorial_of, index_add,
-                     index_order, indices_below, multi_index_enum, unit_index)
-from .jets import (CheckedSection, JetSection, OrderError, contract,
-                   holonomic_lift, spencer_D, vector_bracket)
+                     indices_below, multi_index_enum, unit_index)
+from .jets import (CheckedSection, JetSection, OrderError, contract, spencer_D,
+                   vector_bracket)
 
 
 class TildeConditionError(ValueError):

@@ -265,10 +265,13 @@ class _ExprParser:
 
 
 def _split_on(tokens, sep):
+    """Split at top-level separators; the ';' in p[y;0,1] stays inside."""
     groups = []
     cur = []
+    depth = 0
     for tok in tokens:
-        if tok[0] == sep or tok[0] == "end":
+        depth += (tok[0] == "[") - (tok[0] == "]")
+        if (tok[0] == sep and depth == 0) or tok[0] == "end":
             cur.append(("end", "", tok[2]))
             groups.append(cur)
             cur = []

@@ -42,6 +42,25 @@ def _normalize_relation(rel, n, trunc):
     return out
 
 
+def _eliminate(row, pivot, prow):
+    """row - row[pivot] * prow, for a solved row prow with pivot entry 1."""
+    c = row.get(pivot)
+    if c is None:
+        return row
+    out = dict(row)
+    out.pop(pivot)
+    for key, v in prow.items():
+        if key == pivot:
+            continue
+        s = out.get(key)
+        s = -c * v if s is None else s - c * v
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
 def _reduce_rows(relations, coords):
     """RREF over the series ring with unit pivots, scanning coordinates in
     descending order.  Returns (solved, leftover): solved maps pivot
@@ -51,29 +70,12 @@ def _reduce_rows(relations, coords):
     solved = {}
     coord_rank = {c: i for i, c in enumerate(coords)}
 
-    def eliminate(row, pivot, prow):
-        c = row.get(pivot)
-        if c is None:
-            return row
-        out = dict(row)
-        out.pop(pivot)
-        for key, v in prow.items():
-            if key == pivot:
-                continue
-            s = out.get(key)
-            s = -c * v if s is None else s - c * v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return out
-
     while True:
         # reduce work rows by what is already solved
         nxt = []
         for row in work:
             for pivot, prow in solved.items():
-                row = eliminate(row, pivot, prow)
+                row = _eliminate(row, pivot, prow)
             if row:
                 nxt.append(row)
         work = nxt
@@ -96,7 +98,7 @@ def _reduce_rows(relations, coords):
         row = {key: c * inv for key, c in row.items()}
         row[pivot] = TruncatedSeries.const(1, inv.n, inv.trunc)
         for old_pivot in list(solved):
-            solved[old_pivot] = eliminate(solved[old_pivot], pivot, row)
+            solved[old_pivot] = _eliminate(solved[old_pivot], pivot, row)
         solved[pivot] = row
     return solved, work
 
@@ -163,21 +165,7 @@ class LinearLieEquation:
         """Is the linear form a series-combination of the system's rows?"""
         row = _normalize_relation(row, self.n, self.trunc)
         for pivot, prow in self.solved.items():
-            c = row.get(pivot)
-            if c is None:
-                continue
-            out = dict(row)
-            out.pop(pivot)
-            for key, v in prow.items():
-                if key == pivot:
-                    continue
-                s = out.get(key)
-                s = -c * v if s is None else s - c * v
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-            row = out
+            row = _eliminate(row, pivot, prow)
         return not row
 
     def same_system(self, other):

@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import (TruncatedSeries, factorial_of, index_order,
+from .series import (SeriesRing, TruncatedSeries, factorial_of, index_order,
                      multi_index_enum, unit_index, reversion_system)
 from .jets import (CheckedSection, JetSection, OrderError, contract,
-                   holonomic_lift, spencer_D)
+                   derivative_table, spencer_D_two_form)
 from .brackets import algebraic_bracket
-from .polymap import (DualRing, SeriesRing, matrix_inverse, pm_compose,
-                      pm_invert, poly_add, poly_derive, poly_mul, poly_scale)
+from .equations import LinearLieEquation, NonRegularError, jet_coords
+from .polymap import (DualRing, pm_compose, pm_invert, poly_add, poly_derive,
+                      poly_mul)
 
 
 class NotInvertibleError(ValueError):
@@ -67,23 +68,10 @@ class GroupoidSection:
     @classmethod
     def holonomic(cls, f, order):
         """j^order of a map given by series components fixing 0."""
-        n = len(f)
-        trunc = f[0].trunc
-        fiber = {}
-        for i, fi in enumerate(f):
-            layer = {(0,) * n: fi}
-            for _ in range(order):
-                nxt = {}
-                for alpha, s in layer.items():
-                    for j in range(n):
-                        beta = tuple(a + (1 if m == j else 0)
-                                     for m, a in enumerate(alpha))
-                        if beta not in nxt:
-                            nxt[beta] = s.derive(j)
-                for beta, s in nxt.items():
-                    fiber[(i, beta)] = s
-                layer = nxt
-        return cls(n, order, trunc, list(f), fiber)
+        fiber = {(i, alpha): s for i, fi in enumerate(f)
+                 for alpha, s in derivative_table(fi, order).items()
+                 if any(alpha)}
+        return cls(len(f), order, f[0].trunc, list(f), fiber)
 
     def __eq__(self, other):
         if not isinstance(other, GroupoidSection):
@@ -152,14 +140,6 @@ def jet_invert(A):
     q = pm_invert(ring, A.to_polymap(), k)
     q_at = [{alpha: s.compose(h) for alpha, s in comp.items()} for comp in q]
     return GroupoidSection.from_polymap(n, k, trunc, h, q_at)
-
-
-def jet_compose_invert(A, B=None, mode="compose"):
-    if mode == "compose":
-        return jet_compose(A, B)
-    if mode == "invert":
-        return jet_invert(A)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # -- nonlinear Spencer operator ---------------------------------------
@@ -273,28 +253,10 @@ def nonlinear_spencer_D_family(base_pairs, fiber_pairs, n, order, trunc):
 def d1_curvature(u):
     """D1 u = D u - (1/2)[u, u] on a jet-valued one-form; components are
     indexed by direction pairs i < j."""
-    first = u[0]
-    n, k, trunc = first.n, first.order, first.trunc
-    if k < 1:
+    if u[0].order < 1:
         raise OrderError("curvature operator needs order >= 1")
-
-    def d_dir(eta, j):
-        comps = {}
-        for i in range(n):
-            for alpha in multi_index_enum(n, k - 1):
-                shifted = tuple(a + (1 if m == j else 0)
-                                for m, a in enumerate(alpha))
-                s = eta.get(i, alpha).derive(j) - eta.get(i, shifted)
-                if not s.is_zero():
-                    comps[(i, alpha)] = s
-        return JetSection(n, k - 1, trunc, comps)
-
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[(i, j)] = (d_dir(u[j], i) - d_dir(u[i], j)
-                           - algebraic_bracket(u[i], u[j]))
-    return out
+    return {(i, j): d - algebraic_bracket(u[i], u[j])
+            for (i, j), d in spencer_D_two_form(u).items()}
 
 
 # -- action on checked sections ---------------------------------------
@@ -383,8 +345,6 @@ def groupoid_action(sigma, cs):
 def pushforward_equation(sigma, eq):
     """Transport a linear Lie equation: xi' satisfies the result iff the
     inverse action of sigma carries xi' into the original system."""
-    from .equations import LinearLieEquation, jet_coords
-
     if sigma.order < eq.order + 1:
         raise OrderError("pushforward needs sigma of order >= k+1")
     sigma = sigma.project(eq.order + 1)
@@ -451,9 +411,8 @@ def verify_formal_isomorphism(F, eq, eq_target, vanishing_vars,
         if not F.base_map[i].restrict_zero(vanishing).is_zero():
             adapted = False
     try:
-        pushed = pushforward_equation(F, eq)
-        transported = pushed.same_system(eq_target)
-    except Exception:
+        transported = pushforward_equation(F, eq).same_system(eq_target)
+    except NonRegularError:
         transported = False
     dsig = nonlinear_spencer_D(F.project(eq.order + 1))
     member = True

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .series import (TruncatedSeries, index_add, index_order, multi_index_enum,
-                     unit_index, factorial_of)
+                     unit_index)
 
 
 class OrderError(ValueError):
@@ -119,50 +119,55 @@ class JetSection:
         return out
 
 
+def derivative_table(f, k):
+    """Raw derivatives d^a f for |a| <= k, by order, as a dict a -> series;
+    each is the derivative of the first lower entry that reaches it."""
+    n = f.n
+    table = {(0,) * n: f}
+    layer = table
+    for _ in range(k):
+        nxt = {}
+        for alpha, s in layer.items():
+            for j in range(n):
+                beta = index_add(alpha, unit_index(n, j))
+                if beta not in nxt:
+                    nxt[beta] = s.derive(j)
+        table.update(nxt)
+        layer = nxt
+    return table
+
+
 def holonomic_lift(theta, k):
     """j^k of a vector field given as a list of n series."""
     n = len(theta)
     trunc = theta[0].trunc
     if k < 0 or k > trunc:
         raise OrderError("jet order outside the series order budget")
-    comps = {}
-    for i, th in enumerate(theta):
-        layer = {(0,) * n: th}
-        comps[(i, (0,) * n)] = th
-        for _ in range(k):
-            nxt = {}
-            for alpha, s in layer.items():
-                for j in range(n):
-                    beta = index_add(alpha, unit_index(n, j))
-                    if beta not in nxt:
-                        nxt[beta] = s.derive(j)
-            for beta, s in nxt.items():
-                comps[(i, beta)] = s
-            layer = nxt
+    comps = {(i, alpha): s for i, th in enumerate(theta)
+             for alpha, s in derivative_table(th, k).items()}
     return JetSection(n, k, trunc, comps)
 
 
+def _spencer_direction(xi, j):
+    """Direction j of the linear Spencer difference: the order-(k-1)
+    section with components d_j(p^i_a) - p^i_{a+e_j}."""
+    n = xi.n
+    shift = unit_index(n, j)
+    comps = {}
+    for i in range(n):
+        for alpha in multi_index_enum(n, xi.order - 1):
+            s = xi.get(i, alpha).derive(j) - xi.get(i, index_add(alpha,
+                                                                 shift))
+            if not s.is_zero():
+                comps[(i, alpha)] = s
+    return JetSection(n, xi.order - 1, xi.trunc, comps)
+
+
 def spencer_D(xi):
-    """Linear Spencer operator: per direction j, the order-(k-1) section
-    with components d_j(p^i_a) - p^i_{a+e_j}."""
+    """Linear Spencer operator: the Spencer difference per direction j."""
     if xi.order < 1:
         raise OrderError("Spencer operator needs order >= 1")
-    n = xi.n
-    out = []
-    for j in range(n):
-        comps = {}
-        for i in range(n):
-            for alpha in multi_index_enum(n, xi.order - 1):
-                s = xi.get(i, alpha).derive(j) - xi.get(
-                    i, index_add(alpha, unit_index(n, j)))
-                if not s.is_zero():
-                    comps[(i, alpha)] = s
-        out.append(JetSection(n, xi.order - 1, xi.trunc, comps))
-    return out
-
-
-def spencer_D_direction(xi, j):
-    return spencer_D(xi)[j]
+    return [_spencer_direction(xi, j) for j in range(xi.n)]
 
 
 def contract(v, one_form):
@@ -178,25 +183,12 @@ def spencer_D_two_form(one_form):
     """Extended Spencer operator on a J^k-valued one-form; returns the
     antisymmetric two-form components indexed by pairs i < j."""
     first = one_form[0]
-    n, k, trunc = first.n, first.order, first.trunc
-    if k < 1:
+    n = first.n
+    if first.order < 1:
         raise OrderError("extended Spencer operator needs order >= 1")
-
-    def d_dir(eta, j):
-        comps = {}
-        for i in range(n):
-            for alpha in multi_index_enum(n, k - 1):
-                s = eta.get(i, alpha).derive(j) - eta.get(
-                    i, index_add(alpha, unit_index(n, j)))
-                if not s.is_zero():
-                    comps[(i, alpha)] = s
-        return JetSection(n, k - 1, trunc, comps)
-
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[(i, j)] = d_dir(one_form[j], i) - d_dir(one_form[i], j)
-    return out
+    return {(i, j): (_spencer_direction(one_form[j], i)
+                     - _spencer_direction(one_form[i], j))
+            for i in range(n) for j in range(i + 1, n)}
 
 
 class CheckedSection:
@@ -273,16 +265,6 @@ class CheckedSection:
     def __repr__(self):
         h = ", ".join(s.to_str() for s in self.horizontal)
         return f"CheckedSection(h=[{h}], v={self.vertical!r})"
-
-
-def project_and_beta(obj, l=None):
-    """Projection pi_l of a jet/checked section, or beta_* when l is None
-    and obj is a CheckedSection."""
-    if l is None:
-        if isinstance(obj, CheckedSection):
-            return obj.beta_star()
-        raise OrderError("beta_* needs a checked section")
-    return obj.project(l)
 
 
 def tilde_section(xi):

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .polymap import RationalRing, matrix_inverse
+
 
 def _copy(m):
     return [[Fraction(x) for x in row] for row in m]
@@ -70,20 +72,9 @@ def row_space_rref(m):
     return rref(m)[0]
 
 
-def same_row_space(a, b):
-    return row_space_rref(a) == row_space_rref(b)
-
-
 def invert_matrix(m):
     """Inverse of a square rational matrix, or None if singular."""
-    n = len(m)
-    aug = [[Fraction(x) for x in row] +
-           [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m)]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in rows]
+    return matrix_inverse(RationalRing, _copy(m))
 
 
 def solve(m, rhs):

@@ -6,15 +6,27 @@ terms are excluded: maps are centered, sending 0 to 0.  Truncation is by
 total u-degree.
 
 The ring is abstracted so the same composition/inversion code serves
-plain rationals (series reversion), truncated series (jet-groupoid
-arithmetic), and first-order dual numbers over series (curves of jets).
+plain rationals (``TruncatedSeries`` arithmetic and reversion), truncated
+series (jet-groupoid arithmetic), and first-order dual numbers over series
+(curves of jets).  This is the package's one polynomial kernel; it imports
+nothing else from the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import TruncatedSeries, index_add, index_order, unit_index
+
+def index_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def index_order(a):
+    return sum(a)
+
+
+def unit_index(n, j):
+    return tuple(1 if i == j else 0 for i in range(n))
 
 
 class RationalRing:
@@ -50,45 +62,6 @@ class RationalRing:
     @staticmethod
     def rat(c):
         return Fraction(c)
-
-
-class SeriesRing:
-    def __init__(self, n, trunc):
-        self.n = n
-        self.trunc = trunc
-        self.zero = TruncatedSeries.zero(n, trunc)
-        self.one = TruncatedSeries.const(1, n, trunc)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return a.reciprocal()
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-    @staticmethod
-    def is_unit(a):
-        return a.constant_term() != 0
-
-    @staticmethod
-    def derive(a, j):
-        return a.derive(j)
-
-    def rat(self, c):
-        return TruncatedSeries.const(c, self.n, self.trunc)
 
 
 class DualRing:

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .polymap import (RationalRing, index_add, index_order, matrix_inverse,
+                      pm_compose, pm_invert, pm_linear_part, poly_add,
+                      poly_derive, poly_mul, poly_scale, unit_index)
+
 
 def exponents_of_degree(n, d):
     """All length-n exponent tuples of total degree d, lex-descending."""
@@ -30,18 +34,6 @@ def multi_index_enum(n, k):
     for d in range(k + 1):
         out.extend(exponents_of_degree(n, d))
     return out
-
-
-def index_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def index_order(a):
-    return sum(a)
-
-
-def unit_index(n, j):
-    return tuple(1 if i == j else 0 for i in range(n))
 
 
 def factorial_of(alpha):
@@ -169,20 +161,16 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             other = TruncatedSeries.const(other, self.n, self.trunc)
         self._check(other)
-        out = dict(self.coeffs)
-        for alpha, c in other.coeffs.items():
-            s = out.get(alpha, Fraction(0)) + c
-            if s == 0:
-                out.pop(alpha, None)
-            else:
-                out[alpha] = s
-        return TruncatedSeries(self.n, self.trunc, out)
+        return TruncatedSeries(self.n, self.trunc,
+                               poly_add(RationalRing, self.coeffs,
+                                        other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
         return TruncatedSeries(self.n, self.trunc,
-                               {a: -c for a, c in self.coeffs.items()})
+                               poly_scale(RationalRing, self.coeffs,
+                                          Fraction(-1)))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -194,23 +182,13 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
             return TruncatedSeries(self.n, self.trunc,
-                                   {a: c * v for a, v in self.coeffs.items()})
+                                   poly_scale(RationalRing, self.coeffs,
+                                              _as_fraction(other)))
         self._check(other)
-        out = {}
-        for a, ca in self.coeffs.items():
-            da = index_order(a)
-            for b, cb in other.coeffs.items():
-                if da + index_order(b) > self.trunc:
-                    continue
-                key = index_add(a, b)
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return TruncatedSeries(self.n, self.trunc, out)
+        return TruncatedSeries(self.n, self.trunc,
+                               poly_mul(RationalRing, self.coeffs,
+                                        other.coeffs, self.trunc))
 
     __rmul__ = __mul__
 
@@ -224,14 +202,8 @@ class TruncatedSeries:
         callers must budget series orders."""
         if not 0 <= var < self.n:
             raise DimensionError(f"variable index {var} out of range")
-        out = {}
-        for alpha, c in self.coeffs.items():
-            e = alpha[var]
-            if e == 0:
-                continue
-            beta = alpha[:var] + (e - 1,) + alpha[var + 1:]
-            out[beta] = c * e
-        return TruncatedSeries(self.n, self.trunc, out)
+        return TruncatedSeries(self.n, self.trunc,
+                               poly_derive(RationalRing, self.coeffs, var))
 
     def compose(self, args):
         """Substitute args[i] (a series with zero constant term) for x_i."""
@@ -247,25 +219,13 @@ class TruncatedSeries:
         for g in args:
             if g.n != m or g.trunc != trunc:
                 raise DimensionError("substitution arguments disagree")
-        # cache powers of each argument
-        powers = []
-        maxdeg = [0] * self.n
-        for alpha in self.coeffs:
-            for i, a in enumerate(alpha):
-                maxdeg[i] = max(maxdeg[i], a)
-        for i, g in enumerate(args):
-            p = [TruncatedSeries.const(1, m, trunc)]
-            for _ in range(maxdeg[i]):
-                p.append(p[-1] * g)
-            powers.append(p)
-        out = TruncatedSeries.zero(m, trunc)
-        for alpha, c in self.coeffs.items():
-            term = TruncatedSeries.const(c, m, trunc)
-            for i, a in enumerate(alpha):
-                if a:
-                    term = term * powers[i][a]
-            out = out + term
-        return out
+        # pm_compose takes centered maps: the constant term passes through
+        outer = dict(self.coeffs)
+        c0 = outer.pop((0,) * self.n, 0)
+        out = pm_compose(RationalRing, [outer], [g.coeffs for g in args],
+                         trunc)[0]
+        out[(0,) * m] = c0
+        return TruncatedSeries(m, trunc, out)
 
     def reciprocal(self):
         """Multiplicative inverse; requires a unit (nonzero constant term)."""
@@ -358,25 +318,45 @@ class TruncatedSeries:
         return s
 
 
-def series_arith(a, b, op):
-    """Dispatch form of the ring operations (add|sub|mul|scale)."""
-    if op == "add":
+class SeriesRing:
+    """Truncated series as the coefficient ring of ``polymap`` maps."""
+
+    def __init__(self, n, trunc):
+        self.n = n
+        self.trunc = trunc
+        self.zero = TruncatedSeries.zero(n, trunc)
+        self.one = TruncatedSeries.const(1, n, trunc)
+
+    @staticmethod
+    def add(a, b):
         return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
+
+    @staticmethod
+    def mul(a, b):
         return a * b
-    if op == "scale":
-        return a * b if isinstance(b, (int, Fraction)) else b * a
-    raise ValueError(f"unknown op {op!r}")
 
+    @staticmethod
+    def neg(a):
+        return -a
 
-def series_derive(a, var):
-    return a.derive(var)
+    @staticmethod
+    def inv(a):
+        return a.reciprocal()
 
+    @staticmethod
+    def is_zero(a):
+        return a.is_zero()
 
-def series_compose(f, args):
-    return f.compose(args)
+    @staticmethod
+    def is_unit(a):
+        return a.constant_term() != 0
+
+    @staticmethod
+    def derive(a, j):
+        return a.derive(j)
+
+    def rat(self, c):
+        return TruncatedSeries.const(c, self.n, self.trunc)
 
 
 def reversion(a):
@@ -389,11 +369,8 @@ def reversion(a):
 
 
 def reversion_system(fs):
-    """Compositional inverse of a square system with invertible linear part.
-
-    Solved degree by degree: with F = L + higher, set G_1 = L^-1 and kill the
-    lowest nonlinear degree of F(G) at each step (Newton-style correction).
-    """
+    """Compositional inverse of a square system with invertible linear part,
+    solved degree by degree by ``pm_invert``."""
     n = len(fs)
     if n == 0 or any(f.n != n for f in fs):
         raise DimensionError("reversion needs a square system")
@@ -401,33 +378,9 @@ def reversion_system(fs):
     for f in fs:
         if f.constant_term() != 0:
             raise RecenteringError("reversion argument not centered at 0")
-    # linear part as a rational matrix
-    lin = [[fs[i].coefficient(unit_index(n, j)) for j in range(n)]
-           for i in range(n)]
-    from .linalg import invert_matrix
-    linv = invert_matrix(lin)
-    if linv is None:
+    pmap = [f.coeffs for f in fs]
+    if matrix_inverse(RationalRing, pm_linear_part(RationalRing, pmap,
+                                                   n)) is None:
         raise NonUnitError("singular linear part in reversion")
-    gs = [TruncatedSeries(n, trunc,
-                          {unit_index(n, j): linv[i][j] for j in range(n)})
-          for i in range(n)]
-    for _ in range(2, trunc + 1):
-        err = [f.compose(gs) - TruncatedSeries.var(i, n, trunc)
-               for i, f in enumerate(fs)]
-        if all(e.is_zero() for e in err):
-            break
-        # subtract L^-1 * err from G
-        for i in range(n):
-            corr = TruncatedSeries.zero(n, trunc)
-            for j in range(n):
-                corr = corr + err[j] * linv[i][j]
-            gs[i] = gs[i] - corr
-    return gs
-
-
-def series_invert(a, mode):
-    if mode == "reciprocal":
-        return a.reciprocal()
-    if mode == "reversion":
-        return reversion(a)
-    raise ValueError(f"unknown mode {mode!r}")
+    return [TruncatedSeries(n, trunc, g)
+            for g in pm_invert(RationalRing, pmap, trunc)]

@@ -4,8 +4,10 @@ codes."""
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact.cli import main, parse_problem_file, print_problem
+from artifact.series import TruncatedSeries, multi_index_enum
 
 CASE1 = """\
 manifold dim 2
@@ -188,4 +190,73 @@ def test_round_trip_normalization():
     spec = parse_problem_file(CASE1)
     printed = print_problem(spec)
     again = parse_problem_file(printed)
+    assert print_problem(again) == printed
+
+
+TWO_DIRECTIONS = """\
+manifold dim 3
+vars x y z
+distribution V = span(d/dy d/dz)
+truncation 8
+equation R order 1 on V: p[y;0,0,1] = 2*x*p[z;0,1,0]
+"""
+
+
+def test_prolong_two_direction_equation(tmp_path, capsys):
+    code, doc = run_json(tmp_path, capsys, TWO_DIRECTIONS,
+                         "--command", "prolong")
+    assert code == 0
+    # two unknowns, one first-order relation: 2*C(k+3,3) - C(k+2,3)
+    assert doc["results"]["fiber_dims"] == [7, 16, 30, 50]
+
+
+NAMES3 = ["x", "y", "z"]
+
+
+@st.composite
+def multi_direction_specs(draw):
+    """Problem text with equations on a distribution of two or three
+    directions, written with explicit p[<var>;<idx>] components, and the
+    relations it declares."""
+    fiber = draw(st.sampled_from([(1, 2), (0, 2), (0, 1, 2)]))
+    span = " ".join(f"d/d{NAMES3[i]}" for i in fiber)
+    lines = ["manifold dim 3", "vars x y z",
+             f"distribution V = span({span})", "truncation 6"]
+    expected = []
+    for e in range(draw(st.integers(1, 2))):
+        order = draw(st.integers(1, 2))
+        coords = st.tuples(st.sampled_from(fiber),
+                           st.sampled_from(multi_index_enum(3, order)))
+        coeffs = st.tuples(st.integers(-3, 3).filter(bool),
+                           st.sampled_from(multi_index_enum(3, 1)))
+        rels = draw(st.lists(st.dictionaries(coords, coeffs, min_size=1,
+                                             max_size=3),
+                             min_size=1, max_size=2))
+        texts = []
+        for rel in rels:
+            terms = []
+            for (i, alpha), (c, mono) in rel.items():
+                factor = "".join(f"*{NAMES3[m]}" for m, a in enumerate(mono)
+                                 if a)
+                idx = ",".join(map(str, alpha))
+                terms.append(f"({c}){factor}*p[{NAMES3[i]};{idx}]")
+            texts.append(" + ".join(terms) + " = 0")
+            expected.append({
+                key: TruncatedSeries(3, 6, {mono: c})
+                for key, (c, mono) in rel.items()})
+        lines.append(f"equation E{e} order {order} on V: "
+                     + "; ".join(texts))
+    return "\n".join(lines) + "\n", expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_direction_specs())
+def test_multi_direction_round_trip(case):
+    text, expected = case
+    spec = parse_problem_file(text)
+    assert [r for e in spec.equations for r in e.relations] == expected
+    printed = print_problem(spec)
+    again = parse_problem_file(printed)
+    assert [e.relations for e in again.equations] == \
+        [e.relations for e in spec.equations]
     assert print_problem(again) == printed

@@ -293,3 +293,16 @@ def test_verify_isomorphism_perturbed_fails_spencer():
     assert not rep.spencer_member
     assert rep.witness_direction is not None
     assert not rep.passed
+
+
+def test_verify_isomorphism_propagates_internal_errors(monkeypatch):
+    import artifact.groupoid as groupoid
+
+    def broken(sigma, eq):
+        raise TypeError("internal failure")
+
+    monkeypatch.setattr(groupoid, "pushforward_equation", broken)
+    eq = case1_equation()
+    ident = GroupoidSection.identity(2, 2, T)
+    with pytest.raises(TypeError):
+        verify_formal_isomorphism(ident, eq, eq, [1])

@@ -28,6 +28,33 @@ def test_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
+points = st.lists(st.fractions(min_value=-2, max_value=2,
+                               max_denominator=4), min_size=2, max_size=2)
+
+
+def centered_series(n, deg):
+    coeff = st.integers(-4, 4).map(Fraction)
+    keys = st.sampled_from(multi_index_enum(n, deg)[1:])
+    return st.dictionaries(keys, coeff, max_size=4).map(
+        lambda d: TruncatedSeries(n, T, d))
+
+
+# degrees stay within T, so truncation drops nothing and evaluation at a
+# rational point must commute exactly with * and compose
+@settings(max_examples=40, deadline=None)
+@given(small_series(2, deg=4), small_series(2, deg=4), points)
+def test_mul_matches_evaluation(a, b, point):
+    assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_series(2, deg=4), centered_series(2, 2),
+       centered_series(2, 2), points)
+def test_compose_matches_evaluation(f, g0, g1, point):
+    inner = [g0.evaluate(point), g1.evaluate(point)]
+    assert f.compose([g0, g1]).evaluate(point) == f.evaluate(inner)
+
+
 def test_truncation_bound_preserved():
     rng = rng_for("trunc-bound")
     for _ in range(20):
