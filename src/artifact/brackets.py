@@ -48,11 +48,12 @@ def algebraic_bracket(X, Y):
     return JetSection(n, X.order - 1, trunc, comps)
 
 
-def algebraic_bracket_oracle(Xval, Yval, n, k, trunc=None):
+def algebraic_bracket_oracle(Xval, Yval, n, k):
     """Reference route for jet values at a point: lift both values to
-    Taylor-polynomial vector fields, bracket them as fields, re-extract
-    the (k-1)-jet at 0.  Values are dicts (i, alpha) -> Fraction."""
-    trunc = 2 * k if trunc is None else trunc
+    Taylor-polynomial vector fields (truncated at 2k), bracket them as
+    fields, re-extract the (k-1)-jet at 0.  Values are dicts
+    (i, alpha) -> Fraction."""
+    trunc = 2 * k
 
     def rep(val):
         fields = []

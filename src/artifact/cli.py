@@ -334,10 +334,9 @@ class ProblemSpec:
                 return e
         raise UsageError(f"no equation named {name!r}")
 
-    def build_equation(self, decl, trunc=None):
-        trunc = self.truncation if trunc is None else trunc
+    def build_equation(self, decl):
         return LinearLieEquation(self.dim, decl.order, self.fiber_vars,
-                                 decl.relations, trunc)
+                                 decl.relations, self.truncation)
 
 
 def parse_problem_file(text, truncation=None):

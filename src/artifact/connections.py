@@ -89,10 +89,11 @@ def nabla_apply(conn, cs, w):
     return third_bracket(conn.tilde(w), cs)
 
 
-def curvature_flatness(conn, budget=1):
+def curvature_flatness(conn):
     """Curvature components per direction pair (second bracket of the
-    tilde completions) and a flatness flag; one direction means no pairs
-    and the connection is flat outright."""
+    tilde completions) and a flatness flag, judged below the top series
+    order; one direction means no pairs and the connection is flat
+    outright."""
     dirs = conn.directions
     curvature = {}
     flat = True
@@ -102,23 +103,18 @@ def curvature_flatness(conn, budget=1):
             w, wp = dirs[a], dirs[b]
             comp = second_bracket(conn.tilde(w), conn.tilde(wp))
             curvature[(w, wp)] = comp
-            chopped = CheckedSection(
-                [h.truncate(conn.trunc - budget) for h in comp.horizontal],
-                JetSection(comp.n, comp.order, conn.trunc,
-                           {key: s.truncate(conn.trunc - budget)
-                            for key, s in comp.vertical.comps.items()}))
-            if not chopped.is_zero():
+            if not comp.vanishes_below_top():
                 flat = False
                 if witness is None:
                     witness = (w, wp)
     return curvature, flat, witness
 
 
-def parallel_extend(conn, boundary, budget=1):
+def parallel_extend(conn, boundary):
     """The unique formal solution of nabla(S) = 0 agreeing with the
     boundary on the slice where the V-variables vanish, built
     order-by-order in the V-variables."""
-    _, flat, witness = curvature_flatness(conn, budget=budget)
+    _, flat, witness = curvature_flatness(conn)
     if not flat:
         raise ObstructionError("connection is not flat", witness=witness)
     n, k, trunc = conn.n, conn.order, conn.trunc
@@ -156,12 +152,3 @@ def _exponents_with_v_degree(n, dirs, vdeg, trunc):
                     exp[d] for d in dset) == vdeg:
                 yield exp
 
-
-def extension_matches(a, b, budget=1):
-    """Equality of two checked sections up to the derivative budget."""
-    t = a.trunc - budget
-    if any(not (x - y).truncate(t).is_zero()
-           for x, y in zip(a.horizontal, b.horizontal)):
-        return False
-    diff = a.vertical - b.vertical
-    return all(s.truncate(t).is_zero() for s in diff.comps.values())

@@ -177,28 +177,25 @@ class LinearLieEquation:
 
     # -- membership and sections --------------------------------------
 
-    def residuals(self, xi, budget=0):
+    def residuals(self, xi):
         """Series residuals of every solved relation on a jet section."""
         out = []
         for row in self.solved.values():
             s = TruncatedSeries.zero(self.n, self.trunc)
             for (i, alpha), c in row.items():
                 s = s + c * xi.get(i, alpha)
-            if budget:
-                s = s.truncate(self.trunc - budget)
             out.append(s)
         for i in range(self.n):
             if i in self.components:
                 continue
             for alpha in multi_index_enum(self.n, self.order):
-                s = xi.get(i, alpha)
-                if budget:
-                    s = s.truncate(self.trunc - budget)
-                out.append(s)
+                out.append(xi.get(i, alpha))
         return out
 
-    def is_member(self, xi, budget=0):
-        return all(s.is_zero() for s in self.residuals(xi, budget))
+    def is_member(self, xi):
+        """Membership below the top series order (``vanishes_below_top``);
+        check ``residuals`` directly for exact membership."""
+        return all(s.vanishes_below_top() for s in self.residuals(xi))
 
     def spanning_sections(self):
         """One generator section per free coordinate: the free coordinate
@@ -318,7 +315,7 @@ def check_intransitive(eq):
     return projected_fiber_dim(eq, 0) == len(eq.fiber_vars)
 
 
-def check_lie_closure(eq, budget=1):
+def check_lie_closure(eq):
     """First-bracket closure: brackets of spanning sections of the
     prolongation must satisfy the original system.  Returns (ok, witness)."""
     eq1 = prolong_equation(eq)
@@ -328,22 +325,22 @@ def check_lie_closure(eq, budget=1):
             br = algebroid_bracket(xi, eta)
             if not eq.is_member(br.lift_zero(eq.order)
                                 if br.order < eq.order else
-                                br.project(eq.order), budget):
+                                br.project(eq.order)):
                 return False, (xi, eta, br)
     return True, None
 
 
-def check_formal_integrability(eq, depth=3, acyclic_depth=4):
+def check_formal_integrability(eq, depth=3):
     """Goldschmidt-style loop: prolong, test surjectivity of the
     projection by exact rank, test 2-acyclicity of the symbol; stop with
-    a verdict or exhaust the depth budget."""
+    a verdict or run out of depth."""
     current = eq
     steps = []
     verdict = None
     for _ in range(depth + 1):
         g = equation_symbol(current)
         chain = [g]
-        for _ in range(acyclic_depth):
+        for _ in range(4):
             chain.append(symbol_prolong(chain[-1]))
         acy = two_acyclic(chain)
         try:

@@ -88,13 +88,12 @@ class GroupoidSection:
         return GroupoidSection(self.n, order, self.trunc, self.base_map,
                                fiber)
 
-    def to_polymap(self, order=None):
+    def to_polymap(self):
         """Taylor-normalized offset polynomial of the jet, per component."""
-        order = self.order if order is None else order
         out = []
         for i in range(self.n):
             comp = {}
-            for alpha in multi_index_enum(self.n, order):
+            for alpha in multi_index_enum(self.n, self.order):
                 if index_order(alpha) == 0:
                     continue
                 s = self.jet(i, alpha)
@@ -397,8 +396,7 @@ class IsomorphismReport:
                 and self.spencer_member)
 
 
-def verify_formal_isomorphism(F, eq, eq_target, vanishing_vars,
-                              budget=1):
+def verify_formal_isomorphism(F, eq, eq_target, vanishing_vars):
     """The three hypothesis clauses for a candidate formal isomorphism:
     (a) the base map respects the transversal/fibration split,
     (b) the pushforward of the equation equals the target system,
@@ -418,7 +416,7 @@ def verify_formal_isomorphism(F, eq, eq_target, vanishing_vars,
     member = True
     witness = None
     for j, u in enumerate(dsig):
-        if not eq.is_member(u, budget=budget):
+        if not eq.is_member(u):
             member = False
             witness = j
             break

@@ -77,11 +77,11 @@ class TruncatedIntransitiveAlgebra:
         return v[gen]
 
 
-def _expand(columns, target, trunc, budget=1):
+def _expand(columns, target, trunc):
     """Solve target = sum c_i * columns_i over the series ring by
-    Gaussian elimination with unit pivots; verifies the residual up to
-    the derivative budget and returns the coefficients, or None when the
-    target is not in the span."""
+    Gaussian elimination with unit pivots; verifies that the residual
+    vanishes below the top series order and returns the coefficients, or
+    None when the target is not in the span."""
     m = len(target)
     n = target[0].n
     work = [[col[r] for col in columns] for r in range(m)]
@@ -112,7 +112,7 @@ def _expand(columns, target, trunc, budget=1):
             continue
         residual = [a - c * col for a, col in
                     zip(residual, (columns[ci][r] for r in range(m)))]
-    if any(not s.truncate(trunc - budget).is_zero() for s in residual):
+    if not all(s.vanishes_below_top() for s in residual):
         return None
     return out
 
@@ -121,7 +121,7 @@ def _section_vector(xi, coords):
     return [xi.get(i, alpha) for (i, alpha) in coords]
 
 
-def bracket_table(h_gens, v_gens, budget=1):
+def bracket_table(h_gens, v_gens):
     """Structure functions of the truncated intransitive algebra: every
     pairwise bracket expanded in the order-(j-1) projections of the
     generators.  Labels are -1, -2, ... for the transversal derivations
@@ -134,7 +134,7 @@ def bracket_table(h_gens, v_gens, budget=1):
 
     def expand_vertical(res, pair):
         vec = _section_vector(res, coords)
-        c = _expand(columns, vec, trunc, budget=budget)
+        c = _expand(columns, vec, trunc)
         if c is None:
             raise ClosureError(
                 "bracket leaves the generator span", witness=(pair, res))
@@ -144,8 +144,7 @@ def bracket_table(h_gens, v_gens, budget=1):
     for a in range(len(h_gens)):
         for b in range(a + 1, len(h_gens)):
             res = vector_bracket(h_gens[a], h_gens[b])
-            hc = _expand([list(h) for h in h_gens], list(res), trunc,
-                         budget=budget)
+            hc = _expand([list(h) for h in h_gens], list(res), trunc)
             if hc is None:
                 raise ClosureError("transversal bracket leaves the span",
                                    witness=((-a - 1, -b - 1), res))
@@ -205,11 +204,11 @@ def classify_plane_rank1(A, B):
     return PlaneClassification("Case2", v, nf, f"Case2: beta = x^{v}")
 
 
-def check_solution_family(eq, theta, budget=1):
+def check_solution_family(eq, theta):
     """Does the holonomic lift of the field satisfy every relation of
-    the equation (up to the derivative budget)?"""
+    the equation below the top series order (``eq.is_member``)?"""
     for i, comp in enumerate(theta):
         if i not in eq.fiber_vars and not comp.is_zero():
             return False
     lift = holonomic_lift(theta, eq.order)
-    return eq.is_member(lift, budget=budget)
+    return eq.is_member(lift)

@@ -50,6 +50,9 @@ class JetSection:
     def is_zero(self):
         return not self.comps
 
+    def vanishes_below_top(self):
+        return all(s.vanishes_below_top() for s in self.comps.values())
+
     def __eq__(self, other):
         if not isinstance(other, JetSection):
             return NotImplemented
@@ -214,17 +217,6 @@ class CheckedSection:
     def trunc(self):
         return self.vertical.trunc
 
-    @classmethod
-    def vertical_only(cls, xi):
-        zero = TruncatedSeries.zero(xi.n, xi.trunc)
-        return cls([zero] * xi.n, xi)
-
-    @classmethod
-    def horizontal_only(cls, v, order, trunc=None):
-        n = len(v)
-        trunc = v[0].trunc if trunc is None else trunc
-        return cls(v, JetSection.zero(n, order, trunc))
-
     def __eq__(self, other):
         if not isinstance(other, CheckedSection):
             return NotImplemented
@@ -248,6 +240,10 @@ class CheckedSection:
     def is_zero(self):
         return (all(h.is_zero() for h in self.horizontal)
                 and self.vertical.is_zero())
+
+    def vanishes_below_top(self):
+        return (all(h.vanishes_below_top() for h in self.horizontal)
+                and self.vertical.vanishes_below_top())
 
     def project(self, l):
         return CheckedSection(self.horizontal, self.vertical.project(l))

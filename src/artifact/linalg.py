@@ -67,11 +67,6 @@ def kernel_basis(m):
     return basis
 
 
-def row_space_rref(m):
-    """Canonical (RREF) basis of the row space, for span comparison."""
-    return rref(m)[0]
-
-
 def invert_matrix(m):
     """Inverse of a square rational matrix, or None if singular."""
     return matrix_inverse(RationalRing, _copy(m))
@@ -109,4 +104,4 @@ def same_span(a, b):
         return True
     if not a or not b:
         return False
-    return row_space_rref(a) == row_space_rref(b)
+    return rref(a)[0] == rref(b)[0]

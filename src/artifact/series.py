@@ -125,6 +125,13 @@ class TruncatedSeries:
     def is_zero(self):
         return not self.coeffs
 
+    def vanishes_below_top(self):
+        """The top-order rule: zero except in total degree ``trunc``.  A
+        derivative leaves the top order unreliable, so every verdict made
+        after one (membership, flatness, closure, isomorphism) asks this
+        instead of ``is_zero``."""
+        return all(index_order(a) == self.trunc for a in self.coeffs)
+
     def constant_term(self):
         return self.coeffs.get((0,) * self.n, Fraction(0))
 
@@ -198,8 +205,9 @@ class TruncatedSeries:
     # -- calculus -----------------------------------------------------
 
     def derive(self, var):
-        """Formal partial derivative; top-order input information is lost,
-        callers must budget series orders."""
+        """Formal partial derivative.  The degree-``trunc`` coefficients of
+        the result miss the input's unseen degree ``trunc + 1`` terms; this
+        is why verdicts use ``vanishes_below_top``."""
         if not 0 <= var < self.n:
             raise DimensionError(f"variable index {var} out of range")
         return TruncatedSeries(self.n, self.trunc,
@@ -270,17 +278,16 @@ class TruncatedSeries:
         out = {a: c for a, c in self.coeffs.items() if index_order(a) <= order}
         return TruncatedSeries(self.n, self.trunc, out)
 
-    def extend(self, n, positions, trunc=None):
+    def extend(self, n, positions):
         """Re-embed into a larger variable set; positions[i] is the new slot
         of old variable i."""
-        trunc = self.trunc if trunc is None else trunc
         out = {}
         for alpha, c in self.coeffs.items():
             beta = [0] * n
             for i, a in enumerate(alpha):
                 beta[positions[i]] = a
             out[tuple(beta)] = c
-        return TruncatedSeries(n, trunc, out)
+        return TruncatedSeries(n, self.trunc, out)
 
     # -- display ------------------------------------------------------
 

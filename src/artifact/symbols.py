@@ -97,7 +97,7 @@ def _insert_wedge(i, wedge):
     return (-1) ** pos, out
 
 
-def delta_element(elem, n):
+def delta_map(elem, n):
     """Apply delta to a dict (wedge, l, alpha) -> Fraction; symbol order
     drops by one, wedge degree rises by one.  Negative exponents vanish."""
     out = {}
@@ -116,11 +116,6 @@ def delta_element(elem, n):
             else:
                 out[key] = s
     return out
-
-
-def delta_map(elem, n):
-    """Public entry: delta of an r-form with symbol values."""
-    return delta_element(elem, n)
 
 
 def wedge_tuples(n, r):
@@ -194,7 +189,7 @@ def delta_cohomology(g_chain):
             codomain_index = {key: i for i, key in enumerate(codomain_coords)}
             membership_rows = _membership_matrix(nxt, r + 1)
             for elem in basis:
-                img = delta_element(elem, n)
+                img = delta_map(elem, n)
                 vec = _to_vector(img, codomain_coords, codomain_index)
                 if membership_rows:
                     inside = linalg.member_of_span(membership_rows, vec)

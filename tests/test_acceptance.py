@@ -309,7 +309,7 @@ def test_criterion_11_connections():
     boundary = CheckedSection([TruncatedSeries.zero(2, T)] * 2,
                               jet.restrict_zero([1]))
     ext = parallel_extend(conn, boundary)
-    assert eq.is_member(ext.vertical, budget=1)
+    assert eq.is_member(ext.vertical)
     assert checked_zero(nabla_apply(conn, ext, 1), budget=1)
     report(11, "connections")
 

@@ -91,9 +91,9 @@ def test_prolongation_membership_characterization():
     for _ in range(5):
         values = {f: rnd_series(rng, 2) for f in eq1.free_coords()}
         xi = eq1.section_from_free_values(values)
-        assert eq.is_member(xi.project(1))
+        assert not any(eq.residuals(xi.project(1)))
         for comp in spencer_D(xi):
-            assert eq.is_member(comp, budget=1)
+            assert eq.is_member(comp)
 
 
 def test_equation_symbol_case1():
@@ -174,10 +174,10 @@ def test_section_from_free_values_is_member():
     eq = case2(xs())
     values = {f: rnd_series(rng, 2) for f in eq.free_coords()}
     xi = eq.section_from_free_values(values)
-    assert eq.is_member(xi)
+    assert not any(eq.residuals(xi))
 
 
 def test_spanning_sections_are_members():
     eq = prolong_equation(case2(xs()))
     for xi in eq.spanning_sections():
-        assert eq.is_member(xi)
+        assert not any(eq.residuals(xi))
