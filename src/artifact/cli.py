@@ -20,6 +20,10 @@ coefficients, written ``<lhs> = <rhs>``.  Section entries without
 brackets define the base map; bracketed entries override fiber jet
 coefficients (omitting all of them makes the section holonomic).
 Connection entries are added on top of the trivial product connection.
+
+Exit codes: 0 success, 1 a negative verdict, 2 bad input, 3 a non-regular
+system or a rank failure on the transversal, 4 an inconclusive verdict,
+5 an internal error.
 """
 
 from __future__ import annotations
@@ -61,30 +65,32 @@ class UsageError(ValueError):
 
 # -- tokenizing and polynomial expressions -----------------------------
 
-def _tokenize(text, line_no):
+def _tokenize(line, line_no, start):
+    """Tokens (kind, text, column) of line[start:]; columns are 0-based
+    positions in the whole line."""
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
+    i = start
+    while i < len(line):
+        c = line[i]
         if c.isspace():
             i += 1
             continue
         if c.isdigit():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(line) and line[j].isdigit():
                 j += 1
-            tokens.append(("num", text[i:j], i))
+            tokens.append(("num", line[i:j], i))
             i = j
             continue
         if c.isalpha() or c == "_":
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(line) and (line[j].isalnum() or line[j] == "_"):
                 j += 1
-            tokens.append(("name", text[i:j], i))
+            tokens.append(("name", line[i:j], i))
             i = j
             continue
-        if text.startswith("->", i):
-            tokens.append(("arrow", "->", i))
+        if line.startswith("->", i):
+            tokens.append(("->", "->", i))
             i += 2
             continue
         if c in "+-*/^()[],;=:|":
@@ -92,23 +98,41 @@ def _tokenize(text, line_no):
             i += 1
             continue
         raise ParseError(f"unexpected character {c!r}", line_no, i + 1)
-    tokens.append(("end", "", len(text)))
+    tokens.append(("end", "", len(line)))
     return tokens
 
 
-class _ExprParser:
-    """Rational-polynomial expressions over the declared variables,
-    extended with linear jet-coordinate terms p[...]."""
+def _statements(line, line_no, start):
+    """The tokens of line[start:] split into statements at top-level ';'
+    (the one in p[y;0,1] stays inside); each statement ends with an 'end'
+    token and empty statements are dropped."""
+    groups = []
+    cur = []
+    depth = 0
+    for tok in _tokenize(line, line_no, start):
+        depth += (tok[0] == "[") - (tok[0] == "]")
+        if (tok[0] == ";" and depth == 0) or tok[0] == "end":
+            if cur:
+                groups.append(cur + [("end", "", tok[2])])
+            cur = []
+        else:
+            cur.append(tok)
+    return groups
 
-    def __init__(self, tokens, line_no, var_index, n, trunc,
-                 fiber_vars=None, order=None):
+
+class _ExprParser:
+    """Rational-polynomial expressions over the declared variables; given
+    an equation order, also linear jet-coordinate terms p[...] of at most
+    that order."""
+
+    def __init__(self, tokens, line_no, spec, order=None):
         self.toks = tokens
         self.pos = 0
         self.line = line_no
-        self.vars = var_index
-        self.n = n
-        self.trunc = trunc
-        self.fiber_vars = fiber_vars
+        self.vars = spec.var_index
+        self.n = spec.dim
+        self.trunc = spec.truncation
+        self.fiber_vars = spec.fiber_vars
         self.order = order
 
     def peek(self):
@@ -121,9 +145,6 @@ class _ExprParser:
                              self.line, tok[2] + 1)
         self.pos += 1
         return tok
-
-    def at_end(self):
-        return self.peek()[0] == "end"
 
     # values are dicts: {None: series} for plain polynomials, plus
     # (component, alpha) keys for linear jet-coordinate terms
@@ -149,6 +170,29 @@ class _ExprParser:
             a, b = b, a
         f = b[None]
         return {k: v * f for k, v in a.items()}
+
+    def parse_expr(self):
+        """The whole statement as one expression."""
+        val = self.parse_sum()
+        self.take("end")
+        return val
+
+    def parse_poly(self):
+        """The whole statement as one polynomial (no jet coordinates)."""
+        return self.parse_expr()[None]
+
+    def parse_index(self):
+        """A multi-index '<int>,...,<int>]' with one entry per variable;
+        the opening '[' is already taken."""
+        idx = [int(self.take("num")[1])]
+        while self.peek()[0] == ",":
+            self.take()
+            idx.append(int(self.take("num")[1]))
+        close = self.take("]")
+        if len(idx) != self.n:
+            raise ParseError(f"jet index needs {self.n} entries",
+                             self.line, close[2] + 1)
+        return tuple(idx)
 
     def parse_sum(self):
         tok = self.peek()
@@ -222,12 +266,11 @@ class _ExprParser:
                          self.line, tok[2] + 1)
 
     def parse_jet_coord(self, tok):
-        if self.fiber_vars is None:
+        if self.order is None:
             raise ParseError("jet coordinates are not allowed here",
                              self.line, tok[2] + 1)
         self.take("[")
         comp = None
-        save = self.pos
         nxt = self.peek()
         if nxt[0] == "name" and self.toks[self.pos + 1][0] == ";":
             self.take()
@@ -236,16 +279,7 @@ class _ExprParser:
                 raise ParseError(f"unknown variable {nxt[1]!r}",
                                  self.line, nxt[2] + 1)
             comp = self.vars[nxt[1]]
-        else:
-            self.pos = save
-        idx = [int(self.take("num")[1])]
-        while self.peek()[0] == ",":
-            self.take()
-            idx.append(int(self.take("num")[1]))
-        close = self.take("]")
-        if len(idx) != self.n:
-            raise ParseError(f"jet index needs {self.n} entries",
-                             self.line, close[2] + 1)
+        alpha = self.parse_index()
         if comp is None:
             if len(self.fiber_vars) != 1:
                 raise ParseError("p[...] needs an explicit component when "
@@ -255,29 +289,12 @@ class _ExprParser:
         elif comp not in self.fiber_vars:
             raise ParseError("jet component outside the distribution",
                              self.line, tok[2] + 1)
-        alpha = tuple(idx)
-        if self.order is not None and index_order(alpha) > self.order:
+        if index_order(alpha) > self.order:
             raise ParseError(
                 f"jet index {alpha} exceeds the declared order {self.order}",
                 self.line, tok[2] + 1)
         one = TruncatedSeries.const(1, self.n, self.trunc)
         return {(comp, alpha): one}
-
-
-def _split_on(tokens, sep):
-    """Split at top-level separators; the ';' in p[y;0,1] stays inside."""
-    groups = []
-    cur = []
-    depth = 0
-    for tok in tokens:
-        depth += (tok[0] == "[") - (tok[0] == "]")
-        if (tok[0] == sep and depth == 0) or tok[0] == "end":
-            cur.append(("end", "", tok[2]))
-            groups.append(cur)
-            cur = []
-        else:
-            cur.append(tok)
-    return groups
 
 
 # -- problem specification ---------------------------------------------
@@ -327,12 +344,6 @@ class ProblemSpec:
         if self.transversal:
             return list(self.transversal)
         return [i for i in range(self.dim) if i not in self.fiber_vars]
-
-    def equation_named(self, name):
-        for e in self.equations:
-            if e.name == name:
-                return e
-        raise UsageError(f"no equation named {name!r}")
 
     def build_equation(self, decl):
         return LinearLieEquation(self.dim, decl.order, self.fiber_vars,
@@ -431,31 +442,31 @@ def _parse_distribution(line, line_no, spec):
     return sorted(out)
 
 
-def _parse_equation(line, line_no, spec):
-    head, _sep, body = line.partition(":")
+def _header(line, line_no, kw, tail=()):
+    """Name, order and body start of '<kw> <name> order <k> <tail>: ...'."""
+    head = line.partition(":")[0]
     parts = head.split()
-    if (len(parts) != 6 or parts[0] != "equation" or parts[2] != "order"
-            or parts[4:6] != ["on", "V"]):
-        raise ParseError("expected 'equation <name> order <k> on V: ...'",
-                         line_no)
-    name = parts[1]
+    if (len(parts) != 4 + len(tail) or parts[0] != kw or parts[2] != "order"
+            or parts[4:] != list(tail)):
+        shape = " ".join([kw, "<name> order <k>", *tail])
+        raise ParseError(f"expected '{shape}: ...'", line_no)
     try:
         order = int(parts[3])
     except ValueError:
-        raise ParseError("equation order must be an integer", line_no)
+        raise ParseError(f"{kw} order must be an integer", line_no)
+    return parts[1], order, len(head) + 1
+
+
+def _parse_equation(line, line_no, spec):
+    name, order, start = _header(line, line_no, "equation", ("on", "V"))
     if not spec.fiber_vars:
         raise ParseError("declare the distribution before equations",
                          line_no)
-    if body.strip() == "free":
+    if line[start:].strip() == "free":
         return EquationDecl(name=name, order=order, relations=[],
                             line=line_no)
-    offset = len(line) - len(body)
-    tokens = [(k, t, c + offset) for (k, t, c) in _tokenize(body, line_no)]
-    relations = []
-    for group in _split_on(tokens, ";"):
-        if len(group) == 1:
-            continue
-        relations.append(_parse_relation(group, line_no, spec, order))
+    relations = [_parse_relation(group, line_no, spec, order)
+                 for group in _statements(line, line_no, start)]
     if not relations:
         raise ParseError("equation declares no relations", line_no)
     return EquationDecl(name=name, order=order, relations=relations,
@@ -470,16 +481,8 @@ def _parse_relation(tokens, line_no, spec, order):
     lhs = tokens[:cut] + [("end", "", tokens[cut][2])]
     rhs = tokens[cut + 1:]
 
-    def run(toks):
-        p = _ExprParser(toks, line_no, spec.var_index, spec.dim,
-                        spec.truncation, fiber_vars=spec.fiber_vars,
-                        order=order)
-        val = p.parse_sum()
-        p.take("end")
-        return val
-
-    left = run(lhs)
-    right = run(rhs)
+    left = _ExprParser(lhs, line_no, spec, order).parse_expr()
+    right = _ExprParser(rhs, line_no, spec, order).parse_expr()
     rel = dict(left)
     for k, v in right.items():
         rel[k] = rel[k] - v if k in rel else -v
@@ -511,116 +514,71 @@ def _parse_transversal(line, line_no, spec):
 
 
 def _parse_plane_symbol(line, line_no, spec):
-    head, _sep, body = line.partition(":")
+    head = line.partition(":")[0]
     if head.split() != ["plane", "symbol"]:
         raise ParseError("expected 'plane symbol: A = ...; B = ...'",
                          line_no)
-    offset = len(line) - len(body)
-    tokens = [(k, t, c + offset) for (k, t, c) in _tokenize(body, line_no)]
     values = {}
-    for group in _split_on(tokens, ";"):
-        if len(group) == 1:
-            continue
-        if (group[0][0] != "name" or group[0][1] not in ("A", "B")
-                or group[1][0] != "="):
+    for group in _statements(line, line_no, len(head) + 1):
+        p = _ExprParser(group, line_no, spec)
+        tok = p.take()
+        if tok[1] not in ("A", "B") or p.peek()[0] != "=":
             raise ParseError("expected 'A = <poly>' or 'B = <poly>'",
-                             line_no)
-        p = _ExprParser(group[2:], line_no, spec.var_index, spec.dim,
-                        spec.truncation)
-        val = p.parse_sum()
-        p.take("end")
-        values[group[0][1]] = val[None]
+                             line_no, tok[2] + 1)
+        p.take()
+        values[tok[1]] = p.parse_poly()
     if set(values) != {"A", "B"}:
         raise ParseError("plane symbol needs both A and B", line_no)
     return (values["A"], values["B"])
 
 
-def _parse_mapping_entries(body, line_no, spec, offset, allow_base):
+def _parse_mapping_entries(line, line_no, start, spec, allow_base):
     """Entries '<var> -> <poly>' and '<var>[<idx>] -> <poly>'."""
-    tokens = [(k, t, c + offset) for (k, t, c) in _tokenize(body, line_no)]
     base = {}
     jets = {}
-    index = spec.var_index
-    for group in _split_on(tokens, ";"):
-        if len(group) == 1:
-            continue
-        tok = group[0]
-        if tok[0] != "name" or tok[1] not in index:
+    for group in _statements(line, line_no, start):
+        p = _ExprParser(group, line_no, spec)
+        tok = p.take()
+        if tok[0] != "name" or tok[1] not in p.vars:
             raise ParseError(f"expected a variable name, found {tok[1]!r}",
-                             line_no)
-        comp = index[tok[1]]
-        pos = 1
+                             line_no, tok[2] + 1)
+        comp = p.vars[tok[1]]
         alpha = None
-        if group[pos][0] == "[":
-            pos += 1
-            idx = [int(group[pos][1])]
-            pos += 1
-            while group[pos][0] == ",":
-                pos += 2
-                idx.append(int(group[pos - 1][1]))
-            if group[pos][0] != "]":
-                raise ParseError("expected ']'", line_no, group[pos][2] + 1)
-            pos += 1
-            if len(idx) != spec.dim:
-                raise ParseError(f"jet index needs {spec.dim} entries",
-                                 line_no)
-            alpha = tuple(idx)
-        if group[pos][0] != "arrow":
-            raise ParseError("expected '->'", line_no, group[pos][2] + 1)
-        p = _ExprParser(group[pos + 1:], line_no, spec.var_index, spec.dim,
-                        spec.truncation)
-        val = p.parse_sum()
-        p.take("end")
-        series = val[None]
-        if alpha is None:
-            if not allow_base:
-                raise ParseError("base-map entries are not allowed here",
-                                 line_no)
+        if p.peek()[0] == "[":
+            p.take()
+            alpha = p.parse_index()
+        p.take("->")
+        series = p.parse_poly()
+        if alpha is not None:
+            jets[(comp, alpha)] = series
+        elif allow_base:
             base[comp] = series
         else:
-            jets[(comp, alpha)] = series
+            raise ParseError("base-map entries are not allowed here",
+                             line_no, tok[2] + 1)
     return base, jets
 
 
 def _parse_section(line, line_no, spec):
-    head, _sep, body = line.partition(":")
-    parts = head.split()
-    if len(parts) != 4 or parts[0] != "section" or parts[2] != "order":
-        raise ParseError("expected 'section <name> order <k>: ...'", line_no)
-    try:
-        order = int(parts[3])
-    except ValueError:
-        raise ParseError("section order must be an integer", line_no)
-    offset = len(line) - len(body)
-    base, jets = _parse_mapping_entries(body, line_no, spec, offset, True)
+    name, order, start = _header(line, line_no, "section")
+    base, jets = _parse_mapping_entries(line, line_no, start, spec, True)
     if set(base) != set(range(spec.dim)):
         raise ParseError("section needs a base-map entry per variable",
                          line_no)
-    for i, s in base.items():
-        if s.constant_term() != 0:
-            raise ParseError("base-map components must vanish at the base "
-                             "point", line_no)
-    return SectionDecl(name=parts[1], order=order, base=base, jets=jets,
+    if any(s.constant_term() != 0 for s in base.values()):
+        raise ParseError("base-map components must vanish at the base "
+                         "point", line_no)
+    return SectionDecl(name=name, order=order, base=base, jets=jets,
                        line=line_no)
 
 
 def _parse_connection(line, line_no, spec):
-    head, _sep, body = line.partition(":")
-    parts = head.split()
-    if len(parts) != 4 or parts[0] != "connection" or parts[2] != "order":
-        raise ParseError("expected 'connection <name> order <k>: ...'",
-                         line_no)
-    try:
-        order = int(parts[3])
-    except ValueError:
-        raise ParseError("connection order must be an integer", line_no)
-    if body.strip() == "trivial":
-        extras = {}
-    else:
-        offset = len(line) - len(body)
-        _base, extras = _parse_mapping_entries(body, line_no, spec, offset,
+    name, order, start = _header(line, line_no, "connection")
+    extras = {}
+    if line[start:].strip() != "trivial":
+        _base, extras = _parse_mapping_entries(line, line_no, start, spec,
                                                False)
-    return ConnectionDecl(name=parts[1], order=order, extras=extras,
+    return ConnectionDecl(name=name, order=order, extras=extras,
                           line=line_no)
 
 
@@ -649,33 +607,31 @@ def print_problem(spec):
         out.append(f"plane symbol: A = {A.to_str(names)};"
                    f" B = {B.to_str(names)}")
     for s in spec.sections:
-        entries = [f"{names[i]} -> {s.base[i].to_str(names)}"
-                   for i in sorted(s.base)]
-        for (i, alpha) in sorted(s.jets):
-            idx = ",".join(str(a) for a in alpha)
-            entries.append(f"{names[i]}[{idx}] -> "
-                           f"{s.jets[(i, alpha)].to_str(names)}")
         out.append(f"section {s.name} order {s.order}: "
-                   + "; ".join(entries))
+                   + _entries_str(s.base, s.jets, names))
     for c in spec.connections:
-        if not c.extras:
-            out.append(f"connection {c.name} order {c.order}: trivial")
-            continue
-        entries = []
-        for (i, alpha) in sorted(c.extras):
-            idx = ",".join(str(a) for a in alpha)
-            entries.append(f"{names[i]}[{idx}] -> "
-                           f"{c.extras[(i, alpha)].to_str(names)}")
         out.append(f"connection {c.name} order {c.order}: "
-                   + "; ".join(entries))
+                   + (_entries_str({}, c.extras, names) or "trivial"))
     return "\n".join(out) + "\n"
+
+
+def _index_str(alpha):
+    return ",".join(str(a) for a in alpha)
+
+
+def _entries_str(base, jets, names):
+    """'<var> -> <poly>' per base entry, then '<var>[<idx>] -> <poly>'."""
+    entries = [f"{names[i]} -> {base[i].to_str(names)}" for i in sorted(base)]
+    entries += [f"{names[i]}[{_index_str(alpha)}] -> {s.to_str(names)}"
+                for (i, alpha), s in sorted(jets.items())]
+    return "; ".join(entries)
 
 
 def _relation_str(rel, names, multi):
     parts = []
     for (i, alpha) in sorted(rel, key=lambda c: (index_order(c[1]), c[1],
                                                  c[0])):
-        idx = ",".join(str(a) for a in alpha)
+        idx = _index_str(alpha)
         coeff = rel[(i, alpha)].to_str(names)
         term = f"p[{names[i]};{idx}]" if multi else f"p[{idx}]"
         if coeff == "1":
@@ -693,7 +649,7 @@ def _relation_str(rel, names, multi):
 class Report:
     command: str
     results: dict
-    verdict_ok: bool = True
+    exit_code: int = 0       # 1 for a negative verdict, 4 inconclusive
 
 
 def _jsonable(value, names):
@@ -754,8 +710,7 @@ def _first_equation(spec):
 def _jet_section_values(xi, names):
     out = {}
     for (i, alpha), s in sorted(xi.comps.items()):
-        idx = ",".join(str(a) for a in alpha)
-        out[f"{names[i]}[{idx}]"] = s
+        out[f"{names[i]}[{_index_str(alpha)}]"] = s
     return out
 
 
@@ -778,7 +733,8 @@ def run_command(spec, cmd, depth=3):
     if cmd == "check-integrability":
         eq = spec.build_equation(_first_equation(spec))
         rep = check_formal_integrability(eq, depth=depth)
-        ok = rep.verdict == "formally_integrable"
+        code = {"formally_integrable": 0, "not_formally_integrable": 1,
+                "inconclusive": 4}[rep.verdict]
         return Report("check-integrability", {
             "verdict": rep.verdict,
             "symbol_dims": rep.symbol_dims,
@@ -786,7 +742,7 @@ def run_command(spec, cmd, depth=3):
                        "symbol_dim": s.symbol_dim,
                        "surjective": s.surjective,
                        "two_acyclic": s.two_acyclic}
-                      for s in rep.steps]}, verdict_ok=ok)
+                      for s in rep.steps]}, code)
     if cmd == "bracket-table":
         eq = spec.build_equation(_first_equation(spec))
         gens = restrict_to_transversal(eq)
@@ -838,7 +794,7 @@ def run_command(spec, cmd, depth=3):
                    "passed": rep.passed}
         if rep.witness_direction is not None:
             results["witness_direction"] = names[rep.witness_direction]
-        return Report("verify-iso", results, verdict_ok=rep.passed)
+        return Report("verify-iso", results, 0 if rep.passed else 1)
     if cmd == "spencer-d":
         if not spec.sections:
             raise UsageError("spencer-d needs a section block")
@@ -862,7 +818,7 @@ def run_command(spec, cmd, depth=3):
             comps[f"d{names[w]}^d{names[wp]}"] = _jet_section_values(
                 cs.vertical, names)
         results["components"] = comps
-        return Report("connection-curvature", results, verdict_ok=flat)
+        return Report("connection-curvature", results, 0 if flat else 1)
     raise UsageError(f"unknown command {cmd!r}")
 
 
@@ -948,11 +904,19 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # totality: diagnostics, never a traceback
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        name = type(exc).__name__
+        # the package's own ValueError subclasses reject an input (a
+        # singular section, a prolongation beyond the truncation); any
+        # other exception is a defect of the program
+        if (isinstance(exc, ValueError)
+                and type(exc).__module__.startswith(f"{__package__}.")):
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            return 2
+        print(f"internal error: {name}: {exc}", file=sys.stderr)
+        return 5
     sys.stdout.buffer.write(emit_report(report, args.format,
                                         spec.var_names))
-    return 0 if report.verdict_ok else 1
+    return report.exit_code
 
 
 if __name__ == "__main__":

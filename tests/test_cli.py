@@ -2,11 +2,13 @@
 codes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact.cli import main, parse_problem_file, print_problem
+from artifact import cli
+from artifact.cli import ParseError, main, parse_problem_file, print_problem
 from artifact.series import TruncatedSeries, multi_index_enum
 
 CASE1 = """\
@@ -259,4 +261,100 @@ def test_multi_direction_round_trip(case):
     again = parse_problem_file(printed)
     assert [e.relations for e in again.equations] == \
         [e.relations for e in spec.equations]
+    assert print_problem(again) == printed
+
+
+@pytest.mark.parametrize("entry,bad", [("x[1,] -> 1", "]"),
+                                       ("x[a,b] -> 1", "a"),
+                                       ("x[] -> 1", "]")])
+def test_bad_section_index_is_parse_error(tmp_path, capsys, entry, bad):
+    text = CASE1 + f"section S order 2: x -> x; y -> y; {entry}\n"
+    with pytest.raises(ParseError) as info:
+        parse_problem_file(text)
+    assert info.value.line == 7
+    line = text.splitlines()[6]
+    assert info.value.col == line.index(entry) + entry.index(bad) + 1
+    assert run(tmp_path, text, "--command", "spencer-d") == 2
+    assert capsys.readouterr().err.startswith("error: line 7, col ")
+
+
+def test_internal_error_exit_five(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+    monkeypatch.setattr(cli, "run_command", broken)
+    assert run(tmp_path, CASE1, "--command", "symbol") == 5
+    assert capsys.readouterr().err == \
+        "internal error: TypeError: unsupported operand\n"
+
+
+def test_inconclusive_exit_four(tmp_path, capsys):
+    code, doc = run_json(tmp_path, capsys, CASE1,
+                         "--command", "check-integrability",
+                         "--truncation", "1")
+    assert code == 4
+    assert doc["results"]["verdict"] == "inconclusive"
+
+
+def _poly_text(terms):
+    if not terms:
+        return "0"
+    return " + ".join(
+        f"({c})" + "".join(f"*{NAMES3[m]}^{a}" for m, a in enumerate(mono)
+                           if a)
+        for mono, c in terms.items())
+
+
+POLYS = st.dictionaries(st.sampled_from(multi_index_enum(3, 2)),
+                        st.integers(-3, 3).filter(bool), max_size=3)
+
+
+@st.composite
+def section_and_connection_specs(draw):
+    """Problem text with one section and one connection written as
+    explicit '<var> -> <poly>' and '<var>[<idx>] -> <poly>' entries, and
+    the base map, jets and extras it declares."""
+    lines = ["manifold dim 3", "vars x y z",
+             "distribution V = span(d/dy d/dz)", "truncation 6"]
+
+    def series(terms):
+        return TruncatedSeries(3, 6, terms)
+
+    order = draw(st.integers(1, 2))
+    base = {i: draw(POLYS.map(lambda d: {m: c for m, c in d.items()
+                                         if any(m)}))
+            for i in range(3)}
+    jets = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2),
+                  st.sampled_from(multi_index_enum(3, order))),
+        POLYS, max_size=3))
+    entries = [f"{NAMES3[i]} -> {_poly_text(t)}" for i, t in base.items()]
+    entries += [f"{NAMES3[i]}[{','.join(map(str, a))}] -> {_poly_text(t)}"
+                for (i, a), t in jets.items()]
+    lines.append(f"section S order {order}: "
+                 + "; ".join(draw(st.permutations(entries))))
+    extras = draw(st.dictionaries(
+        st.tuples(st.sampled_from([1, 2]),
+                  st.sampled_from(multi_index_enum(3, order + 1))),
+        POLYS, max_size=3))
+    body = "; ".join(f"{NAMES3[i]}[{','.join(map(str, a))}] -> "
+                     f"{_poly_text(t)}" for (i, a), t in extras.items())
+    lines.append(f"connection C order {order}: {body or 'trivial'}")
+    return ("\n".join(lines) + "\n",
+            {i: series(t) for i, t in base.items()},
+            {k: series(t) for k, t in jets.items()},
+            {k: series(t) for k, t in extras.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(section_and_connection_specs())
+def test_section_and_connection_round_trip(case):
+    text, base, jets, extras = case
+    spec = parse_problem_file(text)
+    (section,), (connection,) = spec.sections, spec.connections
+    assert (section.base, section.jets, connection.extras) == \
+        (base, jets, extras)
+    printed = print_problem(spec)
+    again = parse_problem_file(printed)
+    assert again.sections == [replace(section, line=5)]
+    assert again.connections == [replace(connection, line=6)]
     assert print_problem(again) == printed
