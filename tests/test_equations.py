@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from artifact.series import TruncatedSeries
-from artifact.jets import spencer_D
+from artifact.jets import JetSection, spencer_D
 from artifact.equations import (LinearLieEquation, NonRegularError,
                                 check_formal_integrability,
                                 check_intransitive, check_lie_closure,
@@ -94,6 +94,16 @@ def test_prolongation_membership_characterization():
         assert not any(eq.residuals(xi.project(1)))
         for comp in spencer_D(xi):
             assert eq.is_member(comp)
+
+
+def test_is_member_ignores_only_the_top_order():
+    # case1 is p10 = 0; a residual of degree T is the only one forgiven
+    eq = case1()
+    for degree, member in ((T, True), (T - 1, False)):
+        xi = JetSection(2, 1, T, {
+            (1, (1, 0)): TruncatedSeries(2, T, {(degree, 0): 1})})
+        assert any(eq.residuals(xi))
+        assert eq.is_member(xi) is member
 
 
 def test_equation_symbol_case1():

@@ -89,6 +89,14 @@ def test_derive_product_rule_with_budget():
             assert (lhs - rhs).truncate(T - 1).is_zero()
 
 
+def test_vanishes_below_top():
+    top = TruncatedSeries(2, T, {(T - 1, 1): 1, (0, T): -2})
+    assert top.vanishes_below_top() and not top.is_zero()
+    assert TruncatedSeries.zero(2, T).vanishes_below_top()
+    below = TruncatedSeries(2, T, {(T - 2, 1): 1})
+    assert not (top + below).vanishes_below_top()
+
+
 def test_reciprocal_of_geometric():
     x = TruncatedSeries.var(0, 1, T)
     one = TruncatedSeries.const(1, 1, T)
