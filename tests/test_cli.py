@@ -287,6 +287,13 @@ def test_internal_error_exit_five(tmp_path, capsys, monkeypatch):
         "internal error: TypeError: unsupported operand\n"
 
 
+def test_kernel_rejection_exit_two(tmp_path, capsys):
+    # a singular section is input the kernel rejects, not a defect
+    text = CASE1 + "section S order 2: x -> x + y; y -> x + y\n"
+    assert run(tmp_path, text, "--command", "spencer-d") == 2
+    assert capsys.readouterr().err.startswith("error: NotInvertibleError")
+
+
 def test_inconclusive_exit_four(tmp_path, capsys):
     code, doc = run_json(tmp_path, capsys, CASE1,
                          "--command", "check-integrability",
