@@ -237,9 +237,16 @@ class _ExprParser:
             if any(k is not None for k in base):
                 raise ParseError("cannot raise a jet coordinate to a power",
                                  self.line, col + 1)
+            # square-and-multiply: the work grows with the digits of the
+            # exponent, not with its value
+            e = int(exp[1])
             out = self._const(1)
-            for _ in range(int(exp[1])):
-                out = self._mul(out, base, col)
+            while e:
+                if e & 1:
+                    out = self._mul(out, base, col)
+                e >>= 1
+                if e:
+                    base = self._mul(base, base, col)
             return out
         return base
 
@@ -350,10 +357,17 @@ class ProblemSpec:
                                  decl.relations, self.truncation)
 
 
+def _check_truncation(t, line_no=None):
+    if t < 0:
+        raise ParseError(f"truncation must be a nonnegative integer, got {t}",
+                         line_no)
+    return t
+
+
 def parse_problem_file(text, truncation=None):
     spec = ProblemSpec()
     if truncation is not None:
-        spec.truncation = truncation
+        spec.truncation = _check_truncation(truncation)
     seen_dim = False
     parsing_started = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -379,9 +393,10 @@ def parse_problem_file(text, truncation=None):
                                  line_no)
             if truncation is None:
                 try:
-                    spec.truncation = int(words[1])
+                    t = int(words[1])
                 except (IndexError, ValueError):
                     raise ParseError("truncation needs an integer", line_no)
+                spec.truncation = _check_truncation(t, line_no)
         elif head == "equation":
             parsing_started = True
             spec.equations.append(_parse_equation(line, line_no, spec))

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import (SeriesRing, TruncatedSeries, factorial_of, index_order,
-                     multi_index_enum, unit_index, reversion_system)
+from .series import (SeriesRing, TruncatedSeries, compose_all, factorial_of,
+                     index_order, multi_index_enum, unit_index,
+                     reversion_system)
 from .jets import (CheckedSection, JetSection, OrderError, contract,
                    derivative_table, spencer_D_two_form)
 from .brackets import algebraic_bracket
@@ -121,13 +122,14 @@ def jet_compose(A, B):
         raise OrderError("composition needs matching order and dimension")
     n, k, trunc = A.n, A.order, A.trunc
     ring = SeriesRing(n, trunc)
-    # transport A's coefficient functions to the source chart of B
+    # transport A's coefficient functions and base map to the source
+    # chart of B
     pa = A.to_polymap()
-    pa_at = [{alpha: s.compose(B.base_map) for alpha, s in comp.items()}
-             for comp in pa]
-    pb = B.to_polymap()
-    comp = pm_compose(ring, pa_at, pb, k)
-    base = [f.compose(B.base_map) for f in A.base_map]
+    moved = iter(compose_all([s for comp in pa for s in comp.values()]
+                             + A.base_map, B.base_map))
+    pa_at = [{alpha: next(moved) for alpha in comp} for comp in pa]
+    base = list(moved)
+    comp = pm_compose(ring, pa_at, B.to_polymap(), k)
     return GroupoidSection.from_polymap(n, k, trunc, base, comp)
 
 
@@ -137,7 +139,8 @@ def jet_invert(A):
     ring = SeriesRing(n, trunc)
     h = reversion_system(A.base_map)
     q = pm_invert(ring, A.to_polymap(), k)
-    q_at = [{alpha: s.compose(h) for alpha, s in comp.items()} for comp in q]
+    moved = iter(compose_all([s for comp in q for s in comp.values()], h))
+    q_at = [{alpha: next(moved) for alpha in comp} for comp in q]
     return GroupoidSection.from_polymap(n, k, trunc, h, q_at)
 
 
@@ -260,10 +263,10 @@ def d1_curvature(u):
 
 # -- action on checked sections ---------------------------------------
 
-def _adjoint_vertical(sigma, xi):
+def _adjoint_vertical(sigma, xi, h):
     """Push a vertical jet section of order k through an order-(k+1)
     groupoid section: polynomial pushforward per point, re-centered at the
-    image point."""
+    image point.  ``h`` is the inverse of sigma's base map."""
     n, trunc = sigma.n, sigma.trunc
     k = sigma.order - 1
     if xi.order != k:
@@ -296,13 +299,10 @@ def _adjoint_vertical(sigma, xi):
         if not ring.is_zero(consts[i]):
             a[i] = poly_add(ring, a[i], {zero_alpha: consts[i]})
     # re-center: coefficients become functions of the image point
-    h = reversion_system(sigma.base_map)
-    comps = {}
-    for i in range(n):
-        for alpha, s in a[i].items():
-            val = (s * factorial_of(alpha)).compose(h)
-            if not val.is_zero():
-                comps[(i, alpha)] = val
+    keys = [(i, alpha) for i in range(n) for alpha in a[i]]
+    moved = compose_all([a[i][alpha] * factorial_of(alpha)
+                         for i, alpha in keys], h)
+    comps = {key: val for key, val in zip(keys, moved) if not val.is_zero()}
     return JetSection(n, k, trunc, comps)
 
 
@@ -311,7 +311,7 @@ def pushforward_one_form(sigma, u):
     covector slot by the inverse base map's Jacobian."""
     n, trunc = sigma.n, sigma.trunc
     h = reversion_system(sigma.base_map)
-    values = [_adjoint_vertical(sigma, um) for um in u]
+    values = [_adjoint_vertical(sigma, um, h) for um in u]
     out = []
     for j in range(n):
         acc = JetSection.zero(n, u[0].order, trunc)
@@ -329,15 +329,16 @@ def groupoid_action(sigma, cs):
         raise OrderError("action needs a section one order below sigma")
     n, trunc = sigma.n, sigma.trunc
     h = reversion_system(sigma.base_map)
-    horizontal = []
+    pushed = []
     for i in range(n):
         s = TruncatedSeries.zero(n, trunc)
         for j in range(n):
             s = s + sigma.base_map[i].derive(j) * cs.horizontal[j]
-        horizontal.append(s.compose(h))
+        pushed.append(s)
+    horizontal = compose_all(pushed, h)
     dsig = nonlinear_spencer_D(sigma)
     vert_in = cs.vertical + contract(cs.horizontal, dsig)
-    vertical = _adjoint_vertical(sigma, vert_in)
+    vertical = _adjoint_vertical(sigma, vert_in, h)
     return CheckedSection(horizontal, vertical)
 
 
@@ -349,13 +350,14 @@ def pushforward_equation(sigma, eq):
     sigma = sigma.project(eq.order + 1)
     n, trunc, k = eq.n, eq.trunc, eq.order
     inv = jet_invert(sigma)
-    h = reversion_system(sigma.base_map)
+    h = inv.base_map
     coords = jet_coords(n, k, eq.components)
     transported = {}
     for c in coords:
         unit = JetSection(n, k, trunc,
                           {c: TruncatedSeries.const(1, n, trunc)})
-        transported[c] = _adjoint_vertical(inv, unit)
+        # the inverse of inv's base map is sigma's own base map
+        transported[c] = _adjoint_vertical(inv, unit, sigma.base_map)
     new_rels = []
     # original relations composed through the transported basis
     for row in eq.relation_rows():

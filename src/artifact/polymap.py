@@ -14,7 +14,9 @@ nothing else from the package.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 
 
 def index_add(a, b):
@@ -118,6 +120,13 @@ def poly_add(ring, p, q):
 
 
 def poly_mul(ring, p, q, deg):
+    """Product of two polynomials, dropping terms of total degree > deg."""
+    if ring is RationalRing:
+        return _rational_mul(p, q, deg)
+    return _ring_mul(ring, p, q, deg)
+
+
+def _ring_mul(ring, p, q, deg):
     out = {}
     for a, ca in p.items():
         da = index_order(a)
@@ -130,6 +139,52 @@ def poly_mul(ring, p, q, deg):
                 out.pop(key, None)
             else:
                 out[key] = s
+    return out
+
+
+def _rational_mul(p, q, deg):
+    """``poly_mul`` over the rationals with integer arithmetic: each
+    operand is scaled to integer numerators over its lcm denominator, the
+    exponents are packed into one int in base deg + 1 (carry-free, since
+    no kept exponent exceeds deg), and one Fraction is built per output
+    term instead of one per term pair."""
+    if not p or not q or deg < 0:
+        return {}
+    n = len(next(iter(p)))
+    base = deg + 1
+
+    def pack(a):
+        k = 0
+        for e in reversed(a):
+            k = k * base + e
+        return k
+
+    dp = lcm(*[c.denominator for c in p.values()])
+    dq = lcm(*[c.denominator for c in q.values()])
+    qs = sorted((index_order(b), pack(b), c.numerator * (dq // c.denominator))
+                for b, c in q.items())
+    q_degrees = [db for db, _, _ in qs]
+    q_terms = [(kb, nb) for _, kb, nb in qs]
+    acc = {}
+    get = acc.get
+    for a, c in p.items():
+        da = index_order(a)
+        if da > deg:
+            continue
+        ka = pack(a)
+        na = c.numerator * (dp // c.denominator)
+        for kb, nb in q_terms[:bisect_right(q_degrees, deg - da)]:
+            k = ka + kb
+            acc[k] = get(k, 0) + na * nb
+    den = dp * dq
+    out = {}
+    for k, v in acc.items():
+        if v:
+            e = []
+            for _ in range(n):
+                k, r = divmod(k, base)
+                e.append(r)
+            out[tuple(e)] = Fraction(v, den)
     return out
 
 
@@ -157,37 +212,35 @@ def pm_compose(ring, outer, inner, deg):
     """Components of outer(inner(u)), truncated at total u-degree deg.
 
     ``outer`` has len(inner) input variables; ``inner`` components share
-    the final variable count.
+    the final variable count and, as maps are centered, have no constant
+    term, so a monomial of total degree above deg maps to zero.  The image
+    of each monomial is built once, as the image of the monomial one
+    degree lower times one inner component, and shared by every component
+    of ``outer``.
     """
-    powers = []
-    maxdeg = [0] * len(inner)
-    for comp in outer:
-        for alpha in comp:
-            for i, a in enumerate(alpha):
-                maxdeg[i] = max(maxdeg[i], a)
-    for i, g in enumerate(inner):
-        g = {a: c for a, c in g.items() if index_order(a) <= deg}
-        p = [None]  # powers[i][e] = g^e; e=0 handled separately
-        acc = g
-        p.append(acc)
-        for _ in range(2, maxdeg[i] + 1):
-            acc = poly_mul(ring, acc, g, deg)
-            p.append(acc)
-        powers.append(p)
+    inner = [{a: c for a, c in g.items() if index_order(a) <= deg}
+             for g in inner]
+    images = {}
+
+    def image(alpha):
+        img = images.get(alpha)
+        if img is None:
+            i = next(i for i, a in enumerate(alpha) if a)
+            lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            img = (poly_mul(ring, image(lower), inner[i], deg) if any(lower)
+                   else inner[i])
+            images[alpha] = img
+        return img
+
     out = []
     for comp in outer:
         res = {}
         for alpha, c in comp.items():
-            term = None
-            for i, a in enumerate(alpha):
-                if a == 0:
-                    continue
-                f = powers[i][a]
-                term = f if term is None else poly_mul(ring, term, f, deg)
-            if term is None:
+            if not any(alpha):
                 # constant term of outer is not allowed for centered maps
                 raise ValueError("outer map has a constant term")
-            res = poly_add(ring, res, poly_scale(ring, term, c))
+            if index_order(alpha) <= deg:
+                res = poly_add(ring, res, poly_scale(ring, image(alpha), c))
         out.append(res)
     return out
 

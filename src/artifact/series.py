@@ -103,6 +103,17 @@ class TruncatedSeries:
                 clean[tuple(alpha)] = c
         self.coeffs = clean
 
+    @classmethod
+    def _trusted(cls, n, trunc, coeffs):
+        """A series from kernel output that is already clean: exponent
+        tuples of length n and total degree <= trunc, nonzero Fraction
+        values.  Outside input goes through ``__init__``, which checks."""
+        s = object.__new__(cls)
+        s.n = n
+        s.trunc = trunc
+        s.coeffs = coeffs
+        return s
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -168,16 +179,16 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             other = TruncatedSeries.const(other, self.n, self.trunc)
         self._check(other)
-        return TruncatedSeries(self.n, self.trunc,
-                               poly_add(RationalRing, self.coeffs,
-                                        other.coeffs))
+        return TruncatedSeries._trusted(self.n, self.trunc,
+                                        poly_add(RationalRing, self.coeffs,
+                                                 other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.n, self.trunc,
-                               poly_scale(RationalRing, self.coeffs,
-                                          Fraction(-1)))
+        return TruncatedSeries._trusted(self.n, self.trunc,
+                                        poly_scale(RationalRing, self.coeffs,
+                                                   Fraction(-1)))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -189,13 +200,13 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(self.n, self.trunc,
-                                   poly_scale(RationalRing, self.coeffs,
-                                              _as_fraction(other)))
+            return TruncatedSeries._trusted(
+                self.n, self.trunc,
+                poly_scale(RationalRing, self.coeffs, _as_fraction(other)))
         self._check(other)
-        return TruncatedSeries(self.n, self.trunc,
-                               poly_mul(RationalRing, self.coeffs,
-                                        other.coeffs, self.trunc))
+        return TruncatedSeries._trusted(self.n, self.trunc,
+                                        poly_mul(RationalRing, self.coeffs,
+                                                 other.coeffs, self.trunc))
 
     __rmul__ = __mul__
 
@@ -210,30 +221,13 @@ class TruncatedSeries:
         is why verdicts use ``vanishes_below_top``."""
         if not 0 <= var < self.n:
             raise DimensionError(f"variable index {var} out of range")
-        return TruncatedSeries(self.n, self.trunc,
-                               poly_derive(RationalRing, self.coeffs, var))
+        return TruncatedSeries._trusted(self.n, self.trunc,
+                                        poly_derive(RationalRing, self.coeffs,
+                                                    var))
 
     def compose(self, args):
         """Substitute args[i] (a series with zero constant term) for x_i."""
-        if len(args) != self.n:
-            raise DimensionError("wrong number of substitution arguments")
-        for g in args:
-            if g.constant_term() != 0:
-                raise RecenteringError(
-                    "substitution argument has nonzero constant term")
-        if not args:
-            raise DimensionError("series must have at least one variable")
-        m, trunc = args[0].n, args[0].trunc
-        for g in args:
-            if g.n != m or g.trunc != trunc:
-                raise DimensionError("substitution arguments disagree")
-        # pm_compose takes centered maps: the constant term passes through
-        outer = dict(self.coeffs)
-        c0 = outer.pop((0,) * self.n, 0)
-        out = pm_compose(RationalRing, [outer], [g.coeffs for g in args],
-                         trunc)[0]
-        out[(0,) * m] = c0
-        return TruncatedSeries(m, trunc, out)
+        return compose_all([self], args)[0]
 
     def reciprocal(self):
         """Multiplicative inverse; requires a unit (nonzero constant term)."""
@@ -364,6 +358,36 @@ class SeriesRing:
 
     def rat(self, c):
         return TruncatedSeries.const(c, self.n, self.trunc)
+
+
+def compose_all(series, args):
+    """``s.compose(args)`` for every s in ``series``, in one batch: the
+    image of each monomial under ``args`` is built once and shared."""
+    for s in series:
+        if len(args) != s.n:
+            raise DimensionError("wrong number of substitution arguments")
+    for g in args:
+        if g.constant_term() != 0:
+            raise RecenteringError(
+                "substitution argument has nonzero constant term")
+    if not args:
+        raise DimensionError("series must have at least one variable")
+    m, trunc = args[0].n, args[0].trunc
+    for g in args:
+        if g.n != m or g.trunc != trunc:
+            raise DimensionError("substitution arguments disagree")
+    # pm_compose takes centered maps: constant terms pass through
+    outers, consts = [], []
+    for s in series:
+        outer = dict(s.coeffs)
+        consts.append(outer.pop((0,) * s.n, 0))
+        outers.append(outer)
+    images = pm_compose(RationalRing, outers, [g.coeffs for g in args], trunc)
+    zero = (0,) * m
+    for img, c0 in zip(images, consts):
+        if c0 and trunc >= 0:
+            img[zero] = c0
+    return [TruncatedSeries._trusted(m, trunc, img) for img in images]
 
 
 def reversion(a):

@@ -188,6 +188,34 @@ def test_truncation_flag(tmp_path, capsys):
     assert doc["results"]["verdict"] == "formally_integrable"
 
 
+@pytest.mark.parametrize("args, text", [
+    (["--truncation", "-1"], CASE1),
+    ([], CASE1.replace("truncation 8", "truncation -1")),
+], ids=["flag", "file"])
+def test_negative_truncation_exit_two(tmp_path, capsys, args, text):
+    assert run(tmp_path, text, "--command", "symbol", *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.endswith("truncation must be a nonnegative integer, got -1\n")
+
+
+def _relations(relation):
+    return parse_problem_file(
+        CASE1.replace("p[1,0] = 0", relation)).equations[0].relations
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 5, 6, 13])
+def test_power_matches_repeated_product(e):
+    product = "*".join(["(1 + x - 2*y)"] * e) or "1"
+    assert _relations(f"p[0,1] = (1 + x - 2*y)^{e}*p[1,0]") == \
+        _relations(f"p[0,1] = {product}*p[1,0]")
+
+
+def test_huge_exponent_parses_to_zero_coefficient():
+    assert _relations("p[0,1] = x^999999999*p[1,0]") == \
+        _relations("p[0,1] = 0")
+
+
 def test_round_trip_normalization():
     spec = parse_problem_file(CASE1)
     printed = print_problem(spec)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artifact.polymap import RationalRing, _ring_mul, poly_mul
 from artifact.series import (DimensionError, NonUnitError, RecenteringError,
-                             TruncatedSeries, multi_index_enum, reversion,
-                             reversion_system)
+                             TruncatedSeries, compose_all, multi_index_enum,
+                             reversion, reversion_system)
 
 from conftest import T, rng_for, rnd_series, rnd_unit
 
@@ -53,6 +54,64 @@ def test_mul_matches_evaluation(a, b, point):
 def test_compose_matches_evaluation(f, g0, g1, point):
     inner = [g0.evaluate(point), g1.evaluate(point)]
     assert f.compose([g0, g1]).evaluate(point) == f.evaluate(inner)
+
+
+# differential tests: the integer-numerator product over the rationals
+# against the ring-generic loop it replaces for RationalRing; few keys and
+# small coefficients with denominators make cancellations common
+def rational_polys(n):
+    coeff = st.sampled_from([Fraction(c, d) for c in (-2, -1, 1, 3)
+                             for d in (1, 2, 3)])
+    keys = st.sampled_from(multi_index_enum(n, 5))
+    return st.dictionaries(keys, coeff, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(rational_polys(n), rational_polys(n))),
+    st.integers(-1, 9))
+def test_rational_product_matches_generic_loop(pq, deg):
+    p, q = pq
+    fast = poly_mul(RationalRing, p, q, deg)
+    ref = _ring_mul(RationalRing, p, q, deg)
+    assert set(fast) == set(ref)
+    assert fast == ref
+    assert all(type(v) is Fraction and v != 0 for v in fast.values())
+
+
+def test_rational_product_cancels_to_empty():
+    x, y = (1, 0), (0, 1)
+    p = {x: Fraction(1, 2), y: Fraction(1, 3)}
+    q = {x: Fraction(1, 2), y: Fraction(-1, 3)}
+    # (x/2 + y/3)(x/2 - y/3): the xy terms cancel
+    assert poly_mul(RationalRing, p, q, 2) == \
+        {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)}
+    assert poly_mul(RationalRing, p, {}, 2) == {}
+    assert poly_mul(RationalRing, p, q, 1) == {}
+
+
+def naive_compose(f, args):
+    """Substitution monomial by monomial with the series product."""
+    out = TruncatedSeries.zero(args[0].n, args[0].trunc)
+    for alpha, c in f.coeffs.items():
+        term = TruncatedSeries.const(c, args[0].n, args[0].trunc)
+        for g, a in zip(args, alpha):
+            for _ in range(a):
+                term = term * g
+        out = out + term
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_series(2, deg=4) | centered_series(2, 3), max_size=4),
+       centered_series(3, 2), centered_series(3, 2))
+def test_compose_all_matches_per_series_compose(fs, g0, g1):
+    batch = compose_all(fs, [g0, g1])
+    assert batch == [f.compose([g0, g1]) for f in fs]
+    assert batch == [naive_compose(f, [g0, g1]) for f in fs]
+    for f, out in zip(fs, batch):
+        assert out.constant_term() == f.constant_term()
+        assert all(c != 0 for c in out.coeffs.values())
 
 
 def test_truncation_bound_preserved():
