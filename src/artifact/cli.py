@@ -46,6 +46,8 @@ from .jets import JetSection
 from .series import TruncatedSeries, index_order
 
 DEFAULT_TRUNCATION = 8
+# a written power may give a constant term of at most 2^MAX_POWER_BITS
+MAX_POWER_BITS = 1 << 14
 
 
 class ParseError(ValueError):
@@ -237,9 +239,18 @@ class _ExprParser:
             if any(k is not None for k in base):
                 raise ParseError("cannot raise a jet coordinate to a power",
                                  self.line, col + 1)
+            # numerator and denominator of the constant term c^e are at
+            # most 2^(e * ceil(log2 max(|num|, den))); below the truncation
+            # T the other coefficients add at most T * log2(e) bits
+            e = int(exp[1])
+            c = base[None].constant_term()
+            size = max(abs(c.numerator), c.denominator)
+            if e * (size - 1).bit_length() > MAX_POWER_BITS:
+                raise ParseError(f"power too large: its constant term would "
+                                 f"exceed 2^{MAX_POWER_BITS}",
+                                 self.line, col + 1)
             # square-and-multiply: the work grows with the digits of the
             # exponent, not with its value
-            e = int(exp[1])
             out = self._const(1)
             while e:
                 if e & 1:

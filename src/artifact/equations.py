@@ -293,8 +293,7 @@ def equation_symbol(eq):
             if v[ci] != 0:
                 vec[sindex[(i, alpha)]] = v[ci]
         basis.append(vec)
-    basis = [v for v in basis if any(x != 0 for x in v)]
-    return SymbolSpace(eq.n, eq.order, basis)
+    return SymbolSpace._trusted(eq.n, eq.order, basis)
 
 
 def projected_fiber_dim(eq_high, low_order):

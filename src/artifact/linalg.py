@@ -1,48 +1,106 @@
 """Exact linear algebra over the rationals: echelon form, rank, kernels.
 
-Matrices are plain lists of lists of Fractions.  Everything here is
-deterministic; pivots are chosen left to right.
+Matrices are plain lists of lists of Fractions (ints are accepted as
+entries).  Elimination runs on sparse integer rows (dicts column ->
+nonzero numerator, each row scaled by the lcm of its denominators), so
+zero entries cost nothing and no Fraction is normalised until the result
+is read out.  Everything here is deterministic; pivots are chosen left
+to right.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .polymap import RationalRing, matrix_inverse
 
+_ZERO = Fraction(0)
 
-def _copy(m):
-    return [[Fraction(x) for x in row] for row in m]
+
+def _sparse_row(v):
+    """The nonzero entries of a dense int or Fraction vector as a dict
+    column -> int, scaled by the lcm of the denominators."""
+    row = {c: x for c, x in enumerate(v) if x}
+    den = lcm(*(x.denominator for x in row.values()))
+    for c, x in row.items():
+        row[c] = x.numerator * (den // x.denominator)
+    return row
+
+
+def _primitive(row, lead):
+    """Divide ``row`` in place by the gcd of its entries, signed so that
+    the entry at column ``lead`` becomes positive."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        for c in row:
+            row[c] //= g
+
+
+def _eliminate(row, p, prow):
+    """Cancel column ``p`` of the integer ``row`` in place with a multiple
+    of ``prow``, whose entry at ``p`` is positive."""
+    d = prow[p]
+    f = row[p]
+    g = gcd(f, d)
+    f, d = f // g, d // g
+    if d != 1:
+        for c in row:
+            row[c] *= d
+    for c, x in prow.items():
+        y = row.get(c, 0) - f * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]
+
+
+def reduce_row(v, basis):
+    """The dense vector v reduced against an ``echelon`` basis, as a
+    sparse integer row: a positive multiple of v minus the combination of
+    basis rows that clears every pivot column; empty exactly when v lies
+    in the span."""
+    row = _sparse_row(v)
+    for p in [c for c in row if c in basis]:
+        _eliminate(row, p, basis[p])
+    return row
+
+
+def echelon(rows):
+    """Reduced echelon basis of the span of the given dense rows, as
+    {pivot column: primitive integer row, positive at its pivot and zero
+    at every other pivot}; the input is left unchanged."""
+    basis = {}
+    for v in rows:
+        row = reduce_row(v, basis)
+        if not row:
+            continue
+        p = min(row)
+        _primitive(row, p)
+        for q, other in basis.items():
+            if p in other:
+                _eliminate(other, p, row)
+                _primitive(other, q)
+        basis[p] = row
+    return basis
 
 
 def rref(m):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = _copy(m)
     if not m:
         return [], []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pr = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return [row for row in m if any(x != 0 for x in row)], pivots
+    basis = echelon(m)
+    pivots = sorted(basis)
+    rows = []
+    for p in pivots:
+        row = [_ZERO] * len(m[0])
+        d = basis[p][p]
+        for c, x in basis[p].items():
+            row[c] = Fraction(x, d)
+        rows.append(row)
+    return rows, pivots
 
 
 def rank(m):
@@ -69,7 +127,8 @@ def kernel_basis(m):
 
 def invert_matrix(m):
     """Inverse of a square rational matrix, or None if singular."""
-    return matrix_inverse(RationalRing, _copy(m))
+    return matrix_inverse(RationalRing, [[Fraction(x) for x in row]
+                                         for row in m])
 
 
 def solve(m, rhs):
@@ -89,19 +148,9 @@ def solve(m, rhs):
 
 def member_of_span(vectors, v):
     """Is v in the span of the given vectors?"""
-    if all(x == 0 for x in v):
-        return True
-    if not vectors:
-        return False
-    return rank(vectors) == rank(vectors + [v])
+    return not reduce_row(v, echelon(vectors))
 
 
 def same_span(a, b):
     """Do two vector lists span the same subspace?"""
-    a = [v for v in a if any(x != 0 for x in v)]
-    b = [v for v in b if any(x != 0 for x in v)]
-    if not a and not b:
-        return True
-    if not a or not b:
-        return False
     return rref(a)[0] == rref(b)[0]

@@ -57,12 +57,20 @@ class SymbolSpace:
             raise ValueError("basis vectors not linearly independent")
 
     @classmethod
+    def _trusted(cls, n, order, basis):
+        """A space from Fraction vectors already known to be independent
+        and of the right length; skips the checks of ``__init__``."""
+        out = cls.__new__(cls)
+        out.n, out.order, out.basis = n, order, basis
+        return out
+
+    @classmethod
     def full(cls, n, order):
-        return cls(n, order, symbol_basis(n, order))
+        return cls._trusted(n, order, symbol_basis(n, order))
 
     @classmethod
     def zero_space(cls, n, order):
-        return cls(n, order, [])
+        return cls._trusted(n, order, [])
 
     @property
     def dim(self):
@@ -73,11 +81,8 @@ class SymbolSpace:
 
     def equations(self):
         """Linear forms cutting out the space (rows annihilating the basis)."""
-        dim = symbol_dim(self.n, self.order)
         if not self.basis:
-            rows = [[Fraction(1 if i == j else 0) for j in range(dim)]
-                    for i in range(dim)]
-            return rows
+            return symbol_basis(self.n, self.order)
         return linalg.kernel_basis(self.basis)
 
     def same_space(self, other):
@@ -131,11 +136,12 @@ def _form_coords(n, r, k):
 def _slot_basis(space, r):
     """Basis of wedge^r T* (x) g as dict elements."""
     n = space.n
+    coords = symbol_coords(n, space.order)
     out = []
     for w in wedge_tuples(n, r):
         for v in space.basis:
             elem = {}
-            for idx, (l, alpha) in enumerate(symbol_coords(n, space.order)):
+            for idx, (l, alpha) in enumerate(coords):
                 if v[idx] != 0:
                     elem[(w, l, alpha)] = v[idx]
             out.append(elem)
@@ -179,23 +185,24 @@ def delta_cohomology(g_chain):
             # delta leaving this slot is zero
             out_rank = 0
         else:
-            # codomain check: next slot if provided, else full symbols
-            if r + 1 < len(slots):
-                nxt = slots[r + 1]
-            else:
-                nxt = SymbolSpace.full(n, g.order - 1)
-            mat = []
+            # codomain check against the next slot if one is provided and
+            # smaller than the full symbols; _to_vector already rejects
+            # coordinates outside the full codomain
             codomain_coords = _form_coords(n, r + 1, g.order - 1)
             codomain_index = {key: i for i, key in enumerate(codomain_coords)}
-            membership_rows = _membership_matrix(nxt, r + 1)
+            target = None
+            if r + 1 < len(slots):
+                nxt = slots[r + 1]
+                if nxt.dim < symbol_dim(n, nxt.order):
+                    # wedge^{r+1} T* (x) nxt, in the codomain coordinates
+                    target = linalg.echelon(
+                        _to_vector(e, codomain_coords, codomain_index)
+                        for e in _slot_basis(nxt, r + 1))
+            mat = []
             for elem in basis:
-                img = delta_map(elem, n)
-                vec = _to_vector(img, codomain_coords, codomain_index)
-                if membership_rows:
-                    inside = linalg.member_of_span(membership_rows, vec)
-                else:
-                    inside = all(c == 0 for c in vec)
-                if not inside:
+                vec = _to_vector(delta_map(elem, n), codomain_coords,
+                                 codomain_index)
+                if target is not None and linalg.reduce_row(vec, target):
                     raise ChainError("delta leaves the declared next space")
                 mat.append(vec)
             out_rank = linalg.rank(mat) if mat else 0
@@ -207,44 +214,26 @@ def delta_cohomology(g_chain):
     return dims
 
 
-def _membership_matrix(space, r):
-    """Span of wedge^r T* (x) space in full form coordinates."""
-    n = space.n
-    coords = _form_coords(n, r, space.order)
-    index = {key: i for i, key in enumerate(coords)}
-    rows = []
-    for elem in _slot_basis(space, r):
-        rows.append(_to_vector(elem, coords, index))
-    return rows
-
-
 def symbol_prolong(g):
     """First prolongation: all xi in S^{k+1}T*(x)T with delta(xi) in
     T*(x)g, computed by an exact kernel."""
     n, k = g.n, g.order
-    eqs = g.equations()  # rows over symbol_coords(n, k)
-    dom_coords = symbol_coords(n, k + 1)
-    cod_index = {key: i for i, key in enumerate(symbol_coords(n, k))}
+    cod_coords = symbol_coords(n, k)
+    dom_index = {key: i for i, key in enumerate(symbol_coords(n, k + 1))}
     rows = []
-    for e in eqs:
+    for e in g.equations():  # rows over symbol_coords(n, k)
+        nonzero = [(cod_coords[i], c) for i, c in enumerate(e) if c]
         for direction in range(n):
-            row = [Fraction(0)] * len(dom_coords)
-            nonzero = False
-            for ci, (l, alpha) in enumerate(dom_coords):
-                if alpha[direction] == 0:
-                    continue
-                beta = (alpha[:direction] + (alpha[direction] - 1,)
-                        + alpha[direction + 1:])
-                c = e[cod_index[(l, beta)]]
-                if c != 0:
-                    row[ci] = -c
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
+            # the entry of e at beta moves to alpha = beta + e_direction
+            row = [Fraction(0)] * len(dom_index)
+            for (l, beta), c in nonzero:
+                alpha = (beta[:direction] + (beta[direction] + 1,)
+                         + beta[direction + 1:])
+                row[dom_index[(l, alpha)]] = -c
+            rows.append(row)
     if not rows:
         return SymbolSpace.full(n, k + 1)
-    basis = linalg.kernel_basis(rows)
-    return SymbolSpace(n, k + 1, basis)
+    return SymbolSpace._trusted(n, k + 1, linalg.kernel_basis(rows))
 
 
 def two_acyclic(g_chain_up):

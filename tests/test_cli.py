@@ -2,7 +2,9 @@
 codes."""
 
 import json
+import time
 from dataclasses import replace
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +216,30 @@ def test_power_matches_repeated_product(e):
 def test_huge_exponent_parses_to_zero_coefficient():
     assert _relations("p[0,1] = x^999999999*p[1,0]") == \
         _relations("p[0,1] = 0")
+
+
+@pytest.mark.parametrize("power", ["2^999999999", "2^16385", "(1/2)^16385",
+                                   "(3 + y)^8193"])
+def test_huge_constant_power_exits_two(tmp_path, capsys, power):
+    text = CASE1.replace("p[1,0] = 0", f"p[0,1] = {power}*p[1,0]")
+    start = time.perf_counter()
+    assert run(tmp_path, text, "--command", "symbol") == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    col = text.splitlines()[4].index("^") + 1
+    assert err == (f"error: line 5, col {col}: power too large: its "
+                   f"constant term would exceed 2^{cli.MAX_POWER_BITS}\n")
+
+
+def test_large_powers_parse_exactly():
+    assert _relations("p[0,1] = 2^64*p[1,0]") == \
+        _relations(f"p[0,1] = {2 ** 64}*p[1,0]")
+    assert _relations("p[0,1] = 2^16384*p[1,0]") == \
+        _relations("p[0,1] = 2^8192*2^8192*p[1,0]")
+    e = 999999999
+    binomial = " + ".join(f"{comb(e, j)}*x^{j}" for j in range(9))
+    assert _relations(f"p[0,1] = (1 + x)^{e}*p[1,0]") == \
+        _relations(f"p[0,1] = ({binomial})*p[1,0]")
 
 
 def test_round_trip_normalization():

@@ -69,6 +69,57 @@ def test_delta_leaving_declared_space_raises():
         delta_cohomology(chain)
 
 
+def test_delta_leaving_nonzero_next_space_raises():
+    # delta(f^{0,2} (x) d/dy) lies in T* (x) span{f^{0,1} (x) d/dy} only
+    g = vertical_span(2, 2, 1, (0, 2))
+    assert delta_cohomology([g, vertical_span(2, 1, 1, (0, 1))]) == [0, 0]
+    with pytest.raises(ChainError):
+        delta_cohomology([g, vertical_span(2, 1, 1, (1, 0))])
+    with pytest.raises(ChainError):
+        delta_cohomology([SymbolSpace.full(2, 2),
+                          vertical_span(2, 1, 1, (0, 1))])
+
+
+def random_proper_subspace(rng, n, k):
+    dim = symbol_dim(n, k)
+    while True:
+        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)]
+                for _ in range(rng.randint(1, dim - 1))]
+        basis = linalg.kernel_basis(rows)
+        if 0 < len(basis) < dim:
+            return SymbolSpace(n, k, basis)
+
+
+def test_prolongation_chain_accepted_and_exact():
+    # delta^{-1}(T* (x) g) is the prolongation of g, and the full
+    # sequence is exact at T* (x) S^k: the chain [g', g] has no cohomology
+    rng = rng_for("prolong-chain")
+    for n, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        for _ in range(3):
+            g = random_proper_subspace(rng, n, k)
+            gp = symbol_prolong(g)
+            assert delta_cohomology([gp, g]) == [0, 0]
+            if gp.dim == symbol_dim(n, k + 1):
+                continue
+            # one basis vector more than the prolongation: its delta
+            # leaves T* (x) g, and it comes last among the images
+            extra = next(u for u in symbol_basis(n, k + 1)
+                         if not gp.contains(u))
+            bigger = SymbolSpace(n, k + 1, gp.basis + [extra])
+            with pytest.raises(ChainError):
+                delta_cohomology([bigger, g])
+
+
+def test_explicit_full_next_space_matches_omitted():
+    rng = rng_for("explicit-full")
+    for n, k in ((2, 2), (2, 3), (3, 2)):
+        g = random_proper_subspace(rng, n, k)
+        for chain in ([g], [symbol_prolong(g), g]):
+            full = SymbolSpace.full(n, chain[-1].order - 1)
+            dims = delta_cohomology(chain)
+            assert delta_cohomology(chain + [full])[:len(chain)] == dims
+
+
 def vertical_span(n, k, comp, alpha):
     coords = symbol_coords(n, k)
     v = [Fraction(0)] * len(coords)
