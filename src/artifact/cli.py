@@ -173,6 +173,17 @@ class _ExprParser:
         f = b[None]
         return {k: v * f for k, v in a.items()}
 
+    def number(self):
+        """The int of the next token, which must be a number literal."""
+        _kind, text, col = self.take("num")
+        try:
+            return int(text)
+        except ValueError:
+            # int() refuses literals longer than the interpreter's limit
+            # on integer string conversion (4300 digits by default)
+            raise ParseError(f"number literal of {len(text)} digits is too "
+                             f"long", self.line, col + 1) from None
+
     def parse_expr(self):
         """The whole statement as one expression."""
         val = self.parse_sum()
@@ -186,10 +197,10 @@ class _ExprParser:
     def parse_index(self):
         """A multi-index '<int>,...,<int>]' with one entry per variable;
         the opening '[' is already taken."""
-        idx = [int(self.take("num")[1])]
+        idx = [self.number()]
         while self.peek()[0] == ",":
             self.take()
-            idx.append(int(self.take("num")[1]))
+            idx.append(self.number())
         close = self.take("]")
         if len(idx) != self.n:
             raise ParseError(f"jet index needs {self.n} entries",
@@ -235,14 +246,13 @@ class _ExprParser:
         base = self.parse_atom()
         if self.peek()[0] == "^":
             _op, _txt, col = self.take()
-            exp = self.take("num")
+            e = self.number()
             if any(k is not None for k in base):
                 raise ParseError("cannot raise a jet coordinate to a power",
                                  self.line, col + 1)
             # numerator and denominator of the constant term c^e are at
             # most 2^(e * ceil(log2 max(|num|, den))); below the truncation
             # T the other coefficients add at most T * log2(e) bits
-            e = int(exp[1])
             c = base[None].constant_term()
             size = max(abs(c.numerator), c.denominator)
             if e * (size - 1).bit_length() > MAX_POWER_BITS:
@@ -264,8 +274,7 @@ class _ExprParser:
     def parse_atom(self):
         tok = self.peek()
         if tok[0] == "num":
-            self.take()
-            return self._const(Fraction(int(tok[1])))
+            return self._const(Fraction(self.number()))
         if tok[0] == "(":
             self.take()
             val = self.parse_sum()

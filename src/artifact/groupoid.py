@@ -12,16 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .series import (SeriesRing, TruncatedSeries, compose_all, factorial_of,
-                     index_order, multi_index_enum, unit_index,
+from .series import (DimensionError, TruncatedSeries, compose_all,
+                     factorial_of, index_order, multi_index_enum, unit_index,
                      reversion_system)
 from .jets import (CheckedSection, JetSection, OrderError, contract,
                    derivative_table, spencer_D_two_form)
 from .brackets import algebraic_bracket
 from .equations import LinearLieEquation, NonRegularError, jet_coords
-from .polymap import (DualRing, pm_compose, pm_invert, poly_add, poly_derive,
-                      poly_mul)
+from .polymap import (ZERO, box_of, flat_derive, flat_lincomb, flat_mul,
+                      flat_truncate, from_flat, pm_compose, pm_invert)
 
 
 class NotInvertibleError(ValueError):
@@ -103,17 +104,95 @@ class GroupoidSection:
             out.append(comp)
         return out
 
-    @classmethod
-    def from_polymap(cls, n, order, trunc, base_map, pmap):
-        fiber = {}
-        for i, comp in enumerate(pmap):
-            for alpha, s in comp.items():
-                fiber[(i, alpha)] = s * factorial_of(alpha)
-        return cls(n, order, trunc, base_map, fiber)
-
     def __repr__(self):
         return (f"GroupoidSection(order={self.order}, "
                 f"base={[f.to_str() for f in self.base_map]})")
+
+
+# -- jet maps as flat polynomials ----------------------------------------
+
+def _box(n, trunc, order, duals=0):
+    """Jet maps of the given order over a chart of dimension n: the source
+    point x (degree <= trunc), ``duals`` dual variables (t^2 = 0) and the
+    fiber variables u (degree <= order), from the low bits up."""
+    return box_of(((n, trunc),) + ((1, 1),) * duals + ((n, order),))
+
+
+def _flat(box, terms):
+    """The polynomial sum of x-series times monomials on the box, from
+    triples (key of the monomial, series in x, int divisor)."""
+    n, trunc = box.groups[0]
+    nums = []
+    for key, s, d in terms:
+        if s.n != n or s.trunc != trunc:
+            raise DimensionError("series with mismatched n_vars or trunc")
+        for beta, c in s.coeffs.items():
+            nums.append((box.pack(0, beta) + key, c.numerator,
+                         c.denominator * d))
+    if not nums:
+        return ZERO
+    den = lcm(*[d for _, _, d in nums])
+    return den, {k: v * (den // d) for k, v, d in nums}
+
+
+def _series_map(box, fs):
+    return [_flat(box, [(0, f, 1)]) for f in fs]
+
+
+def _series(box, f):
+    """The series in x of a flat polynomial in x alone."""
+    n, trunc = box.groups[0]
+    return TruncatedSeries._trusted(n, trunc, {box.unpack(0, k): c for k, c
+                                               in from_flat(f).items()})
+
+
+def _jet_map(box, sigma):
+    """The Taylor polynomial sum_a s^i_a(x) u^a / a! of each component."""
+    u = len(box.groups) - 1
+    return [_flat(box, [(box.pack(u, alpha), s, factorial_of(alpha))
+                        for (j, alpha), s in sigma.fiber.items() if j == i])
+            for i in range(sigma.n)]
+
+
+def _coefficients(box, fmap):
+    """The coefficient series of a flat jet map in raw-derivative scaling:
+    {(dual part, i, alpha): {beta: Fraction}}, the dual part being the
+    key's factor in the groups between x and u."""
+    u = len(box.groups) - 1
+    out = {}
+    for i, (den, terms) in enumerate(fmap):
+        for k, v in terms.items():
+            xk, uk = box.part(0, k), box.part(u, k)
+            alpha = box.unpack(u, uk)
+            key = (k - xk - uk, i, alpha)
+            coeffs = out.get(key)
+            if coeffs is None:
+                coeffs = out[key] = {}
+            coeffs[box.unpack(0, xk)] = Fraction(v * factorial_of(alpha),
+                                                 den)
+    return out
+
+
+def _jets(box, fmap, trunc, dual=0):
+    """(i, alpha) -> series of the coefficients with the given dual part."""
+    n = box.groups[0][0]
+    return {(i, alpha): TruncatedSeries._trusted(n, trunc, coeffs)
+            for (d, i, alpha), coeffs in _coefficients(box, fmap).items()
+            if d == dual}
+
+
+def _move(box, fmap, h):
+    """The coefficients of a flat jet map as functions of the point y with
+    x = h(y): substitute x, pass u through."""
+    return pm_compose(box, fmap, _series_map(box, h), box.bounds[0], group=0)
+
+
+def _inverted(sigma, duals=0):
+    """(box, jet map, fiber inverse) of a section, inverted once for every
+    use an op makes of it."""
+    box = _box(sigma.n, sigma.trunc, sigma.order, duals)
+    p = _jet_map(box, sigma)
+    return box, p, pm_invert(box, p, sigma.order)
 
 
 def jet_compose(A, B):
@@ -121,95 +200,72 @@ def jet_compose(A, B):
     if A.order != B.order or A.n != B.n:
         raise OrderError("composition needs matching order and dimension")
     n, k, trunc = A.n, A.order, A.trunc
-    ring = SeriesRing(n, trunc)
+    box = _box(n, trunc, k)
     # transport A's coefficient functions and base map to the source
-    # chart of B
-    pa = A.to_polymap()
-    moved = iter(compose_all([s for comp in pa for s in comp.values()]
-                             + A.base_map, B.base_map))
-    pa_at = [{alpha: next(moved) for alpha in comp} for comp in pa]
-    base = list(moved)
-    comp = pm_compose(ring, pa_at, B.to_polymap(), k)
-    return GroupoidSection.from_polymap(n, k, trunc, base, comp)
+    # chart of B, in one substitution
+    moved = _move(box, _jet_map(box, A) + _series_map(box, A.base_map),
+                  B.base_map)
+    base = [_series(box, f) for f in moved[n:]]
+    comp = pm_compose(box, moved[:n], _jet_map(box, B), k)
+    return GroupoidSection(n, k, trunc, base, _jets(box, comp, trunc))
 
 
 def jet_invert(A):
     """Pointwise jet inverse re-parameterized by the inverted base map."""
     n, k, trunc = A.n, A.order, A.trunc
-    ring = SeriesRing(n, trunc)
     h = reversion_system(A.base_map)
-    q = pm_invert(ring, A.to_polymap(), k)
-    moved = iter(compose_all([s for comp in q for s in comp.values()], h))
-    q_at = [{alpha: next(moved) for alpha in comp} for comp in q]
-    return GroupoidSection.from_polymap(n, k, trunc, h, q_at)
+    box, _p, q = _inverted(A)
+    return GroupoidSection(n, k, trunc, h, _jets(box, _move(box, q, h), trunc))
 
 
 # -- nonlinear Spencer operator ---------------------------------------
 
-def _spencer_impl(ring, base_map, pmap_full, n, order_out):
-    """Shared recipe: ring elements for the base map components and the
-    Taylor polynomial of an (order_out+1)-jet section; returns, per base
-    direction, a dict (i, alpha) -> ring element for |alpha| <= order_out.
-
-    For each direction j the one-parameter curve of jets
+def _spencer_curves(box, base, p, q):
+    """Per base direction j, the curve of jets
 
         t -> j^k(inverse representative at the moved target) o (jet at x+t e_j)
 
-    passes through the identity at t = 0; the t-linear part of its
-    coefficients (and of the target offset, minus e_j) is i(e_j) D sigma.
-    """
-    k = order_out
-    dual = DualRing(ring)
-    q = pm_invert(ring, pmap_full, k + 1)
+    as a flat map on ``box`` (groups x, dual parameters, t, u).  ``base``
+    is the base map and ``p`` the jet map of an order-(k+1) section, ``q``
+    its fiber inverse.  The curve passes through the identity at t = 0;
+    the t-linear part of its coefficients (and of the target offset,
+    minus e_j) is i(e_j) D sigma."""
+    n = box.groups[0][0]
+    t = len(box.groups) - 2
+    u = t + 1
+    k = box.bounds[u] - 1
+    tkey = box.unit(t, 0)
+
+    def times_t(f):
+        return f[0], {key + tkey: v for key, v in f[1].items()}
+
+    p_k = [flat_truncate(box, c, u, k) for c in p]
     out = []
     for j in range(n):
         # jet coefficients transported along x + t e_j
-        p_t = []
-        for comp in pmap_full:
-            d = {}
-            for alpha, s in comp.items():
-                if index_order(alpha) <= k:
-                    d[alpha] = (s, ring.derive(s, j))
-            p_t.append(d)
-        delta_dot = [ring.derive(f, j) for f in base_map]
+        p_t = [flat_lincomb(c, times_t(flat_derive(box, c, 0, j)))
+               for c in p_k]
         # first-order Taylor shift of the inverse jet by the target motion
+        delta_dot = [flat_derive(box, f, 0, j) for f in base]
         q_shift = []
-        for comp in q:
-            base_part = {alpha: dual.lift(s) for alpha, s in comp.items()}
-            corr = {}
-            for m in range(n):
-                if ring.is_zero(delta_dot[m]):
-                    continue
-                dm = poly_derive(ring, comp, m)
-                for alpha, s in dm.items():
-                    c = ring.mul(delta_dot[m], s)
-                    if ring.is_zero(c):
-                        continue
-                    prev = corr.get(alpha, ring.zero)
-                    corr[alpha] = ring.add(prev, c)
-            merged = dict(base_part)
-            for alpha, c in corr.items():
-                a0, a1 = merged.get(alpha, dual.zero)
-                merged[alpha] = (a0, ring.add(a1, c))
-            q_shift.append(merged)
-        # constant (u-degree 0) terms feed the order-zero components
-        zero_alpha = (0,) * n
-        const = [comp.pop(zero_alpha, dual.zero) for comp in q_shift]
-        curve = pm_compose(dual, q_shift, p_t, k)
-        comps = {}
-        for i in range(n):
-            c0, c1 = const[i]
-            val = c1
-            if i == j:
-                val = ring.add(val, ring.neg(ring.one))
-            if not ring.is_zero(val):
-                comps[(i, zero_alpha)] = val
-            for alpha, (a0, a1) in curve[i].items():
-                coeff = ring.mul(ring.rat(factorial_of(alpha)), a1)
-                if not ring.is_zero(coeff):
-                    comps[(i, alpha)] = coeff
-        out.append(comps)
+        for c in q:
+            shifted = c
+            for m, dm in enumerate(delta_dot):
+                if dm[1]:
+                    shifted = flat_lincomb(shifted, times_t(flat_mul(
+                        box, dm, flat_derive(box, c, u, m))))
+            q_shift.append(shifted)
+        curve = pm_compose(box, q_shift, p_t, k)
+        curve[j] = flat_lincomb(curve[j], (1, {tkey: 1}), -1)
+        out.append(curve)
     return out
+
+
+def _spencer_D(box, sigma, p, q):
+    tkey = box.unit(1, 0)
+    curves = _spencer_curves(box, _series_map(box, sigma.base_map), p, q)
+    return [JetSection(sigma.n, sigma.order - 1, sigma.trunc,
+                       _jets(box, c, sigma.trunc, tkey)) for c in curves]
 
 
 def nonlinear_spencer_D(sigma):
@@ -217,39 +273,32 @@ def nonlinear_spencer_D(sigma):
     section of order k; vanishes exactly when sigma is holonomic."""
     if sigma.order < 1:
         raise OrderError("the nonlinear Spencer operator needs order >= 1")
-    n, trunc = sigma.n, sigma.trunc
-    k = sigma.order - 1
-    ring = SeriesRing(n, trunc)
-    raw = _spencer_impl(ring, sigma.base_map, sigma.to_polymap(), n, k)
-    return [JetSection(n, k, trunc, comps) for comps in raw]
+    box, p, q = _inverted(sigma, duals=1)
+    return _spencer_D(box, sigma, p, q)
 
 
 def nonlinear_spencer_D_family(base_pairs, fiber_pairs, n, order, trunc):
     """D sigma_t to first order in t for a family given by dual pairs
     (value, t-derivative); returns per direction a pair of JetSections
     (value at t=0, t-derivative)."""
-    ring = SeriesRing(n, trunc)
-    dual = DualRing(ring)
-    pmap = []
+    # the family's parameter is the dual group 1, the curve's group 2
+    box = _box(n, trunc, order, duals=2)
+    skey, tkey = box.unit(1, 0), box.unit(2, 0)
+    base = [_flat(box, [(0, v0, 1), (skey, v1, 1)]) for v0, v1 in base_pairs]
+    p = []
     for i in range(n):
-        comp = {}
+        terms = []
         for alpha in multi_index_enum(n, order):
-            if index_order(alpha) == 0:
-                continue
             pair = fiber_pairs.get((i, alpha))
-            if pair is None:
-                continue
-            w = Fraction(1, factorial_of(alpha))
-            comp[alpha] = (pair[0] * w, pair[1] * w)
-        pmap.append(comp)
-    raw = _spencer_impl(dual, list(base_pairs), pmap, n, order - 1)
-    out = []
-    for comps in raw:
-        v0 = {key: s[0] for key, s in comps.items() if not s[0].is_zero()}
-        v1 = {key: s[1] for key, s in comps.items() if not s[1].is_zero()}
-        out.append((JetSection(n, order - 1, trunc, v0),
-                    JetSection(n, order - 1, trunc, v1)))
-    return out
+            if index_order(alpha) and pair is not None:
+                key, w = box.pack(3, alpha), factorial_of(alpha)
+                terms += [(key, pair[0], w), (key + skey, pair[1], w)]
+        p.append(_flat(box, terms))
+    curves = _spencer_curves(box, base, p, pm_invert(box, p, order))
+    return [(JetSection(n, order - 1, trunc, _jets(box, c, trunc, tkey)),
+             JetSection(n, order - 1, trunc,
+                        _jets(box, c, trunc, tkey + skey)))
+            for c in curves]
 
 
 def d1_curvature(u):
@@ -263,47 +312,37 @@ def d1_curvature(u):
 
 # -- action on checked sections ---------------------------------------
 
-def _adjoint_vertical(sigma, xi, h):
+def _adjoint(box, p, q, xi):
     """Push a vertical jet section of order k through an order-(k+1)
-    groupoid section: polynomial pushforward per point, re-centered at the
-    image point.  ``h`` is the inverse of sigma's base map."""
-    n, trunc = sigma.n, sigma.trunc
-    k = sigma.order - 1
-    if xi.order != k:
+    groupoid section given by its jet map ``p`` and fiber inverse ``q``:
+    the polynomial pushforward per point, as a flat jet map whose
+    coefficients are still functions of the source point."""
+    n, k = xi.n, xi.order
+    u = len(box.groups) - 1
+    if box.bounds[u] != k + 1:
         raise OrderError("vertical action needs a jet one order below")
-    ring = SeriesRing(n, trunc)
-    p = sigma.to_polymap()
-    q = pm_invert(ring, p, k + 1)
     # theta as an offset polynomial, including its constant term
-    theta = []
-    for i in range(n):
-        comp = {}
-        for alpha in multi_index_enum(n, k):
-            s = xi.get(i, alpha)
-            if not s.is_zero():
-                comp[alpha] = s * Fraction(1, factorial_of(alpha))
-        theta.append(comp)
-    # B(u) = Jacobian_u P (u) . theta(u)
+    theta = [_flat(box, [(box.pack(u, alpha), s, factorial_of(alpha))
+                         for (j, alpha), s in xi.comps.items() if j == m])
+             for m in range(n)]
+    # B(u) = Jacobian_u P (u) . theta(u), then A(w) = B(Q(w))
+    bounds = box.bounds[:u] + (k,)
     b = []
-    for i in range(n):
-        acc = {}
+    for c in p:
+        acc = ZERO
         for m in range(n):
-            dpm = poly_derive(ring, p[i], m)
-            acc = poly_add(ring, acc, poly_mul(ring, dpm, theta[m], k))
+            acc = flat_lincomb(acc, flat_mul(box, flat_derive(box, c, u, m),
+                                             theta[m], bounds))
         b.append(acc)
-    # A(w) = B(Q(w)): split off the constant term of B before composing
-    zero_alpha = (0,) * n
-    consts = [comp.pop(zero_alpha, ring.zero) for comp in b]
-    a = pm_compose(ring, b, [dict(c) for c in q], k)
-    for i in range(n):
-        if not ring.is_zero(consts[i]):
-            a[i] = poly_add(ring, a[i], {zero_alpha: consts[i]})
-    # re-center: coefficients become functions of the image point
-    keys = [(i, alpha) for i in range(n) for alpha in a[i]]
-    moved = compose_all([a[i][alpha] * factorial_of(alpha)
-                         for i, alpha in keys], h)
-    comps = {key: val for key, val in zip(keys, moved) if not val.is_zero()}
-    return JetSection(n, k, trunc, comps)
+    return pm_compose(box, b, q, k)
+
+
+def _adjoint_vertical(box, p, q, xi, h):
+    """``_adjoint`` re-centered: its coefficients become functions of the
+    image point.  ``h`` is the inverse of the section's base map."""
+    return JetSection(xi.n, xi.order, xi.trunc,
+                      _jets(box, _move(box, _adjoint(box, p, q, xi), h),
+                            xi.trunc))
 
 
 def pushforward_one_form(sigma, u):
@@ -311,7 +350,8 @@ def pushforward_one_form(sigma, u):
     covector slot by the inverse base map's Jacobian."""
     n, trunc = sigma.n, sigma.trunc
     h = reversion_system(sigma.base_map)
-    values = [_adjoint_vertical(sigma, um, h) for um in u]
+    box, p, q = _inverted(sigma)
+    values = [_adjoint_vertical(box, p, q, um, h) for um in u]
     out = []
     for j in range(n):
         acc = JetSection.zero(n, u[0].order, trunc)
@@ -336,9 +376,10 @@ def groupoid_action(sigma, cs):
             s = s + sigma.base_map[i].derive(j) * cs.horizontal[j]
         pushed.append(s)
     horizontal = compose_all(pushed, h)
-    dsig = nonlinear_spencer_D(sigma)
+    box, p, q = _inverted(sigma, duals=1)
+    dsig = _spencer_D(box, sigma, p, q)
     vert_in = cs.vertical + contract(cs.horizontal, dsig)
-    vertical = _adjoint_vertical(sigma, vert_in, h)
+    vertical = _adjoint_vertical(box, p, q, vert_in, h)
     return CheckedSection(horizontal, vertical)
 
 
@@ -351,23 +392,34 @@ def pushforward_equation(sigma, eq):
     n, trunc, k = eq.n, eq.trunc, eq.order
     inv = jet_invert(sigma)
     h = inv.base_map
-    coords = jet_coords(n, k, eq.components)
+    # inv's jet at y is the fiber inverse of sigma's jet at h(y), so the
+    # fiber inverse of inv's jet is sigma's jet moved by h
+    box = _box(n, trunc, k + 1)
+    p = _jet_map(box, inv)
+    q = _move(box, _jet_map(box, sigma), h)
+    # A new relation is sum c(h(y)) A(y) over the pushed basis vectors A:
+    # re-centering A by sigma's base map and then substituting h would
+    # give A back, as sigma.base_map o h = id to order trunc, so only the
+    # relations' coefficients c are moved by h.
     transported = {}
-    for c in coords:
+    for c in jet_coords(n, k, eq.components):
         unit = JetSection(n, k, trunc,
                           {c: TruncatedSeries.const(1, n, trunc)})
-        # the inverse of inv's base map is sigma's own base map
-        transported[c] = _adjoint_vertical(inv, unit, sigma.base_map)
+        transported[c] = JetSection(n, k, trunc, _jets(
+            box, _adjoint(box, p, q, unit), trunc))
+    rows = eq.relation_rows()
+    moved = iter(compose_all([c for row in rows for c in row.values()], h))
     new_rels = []
     # original relations composed through the transported basis
-    for row in eq.relation_rows():
+    for row in rows:
+        row = [(key, next(moved)) for key in row]
         acc = {}
         for cprime, image in transported.items():
             s = TruncatedSeries.zero(n, trunc)
-            for (i, alpha), c in row.items():
+            for (i, alpha), c in row:
                 s = s + c * image.get(i, alpha)
             if not s.is_zero():
-                acc[cprime] = s.compose(h)
+                acc[cprime] = s
         if acc:
             new_rels.append(acc)
     # staying inside the fiber distribution must be preserved
@@ -379,7 +431,7 @@ def pushforward_equation(sigma, eq):
             for cprime, image in transported.items():
                 s = image.get(i0, alpha)
                 if not s.is_zero():
-                    acc[cprime] = s.compose(h)
+                    acc[cprime] = s
             if acc:
                 new_rels.append(acc)
     return LinearLieEquation(n, k, eq.fiber_vars, new_rels, trunc)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .polymap import RationalRing, matrix_inverse
+from .polymap import matrix_inverse
 
 _ZERO = Fraction(0)
 
@@ -127,8 +127,7 @@ def kernel_basis(m):
 
 def invert_matrix(m):
     """Inverse of a square rational matrix, or None if singular."""
-    return matrix_inverse(RationalRing, [[Fraction(x) for x in row]
-                                         for row in m])
+    return matrix_inverse(m)
 
 
 def solve(m, rhs):

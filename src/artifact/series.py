@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .polymap import (RationalRing, index_add, index_order, matrix_inverse,
-                      pm_compose, pm_invert, pm_linear_part, poly_add,
-                      poly_derive, poly_mul, poly_scale, unit_index)
+                      pm_compose, pm_invert, poly_add, poly_derive, poly_mul,
+                      poly_scale, unit_index)
 
 
 def exponents_of_degree(n, d):
@@ -180,15 +180,13 @@ class TruncatedSeries:
             other = TruncatedSeries.const(other, self.n, self.trunc)
         self._check(other)
         return TruncatedSeries._trusted(self.n, self.trunc,
-                                        poly_add(RationalRing, self.coeffs,
-                                                 other.coeffs))
+                                        poly_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
         return TruncatedSeries._trusted(self.n, self.trunc,
-                                        poly_scale(RationalRing, self.coeffs,
-                                                   Fraction(-1)))
+                                        poly_scale(self.coeffs, -1))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -202,11 +200,11 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries._trusted(
                 self.n, self.trunc,
-                poly_scale(RationalRing, self.coeffs, _as_fraction(other)))
+                poly_scale(self.coeffs, _as_fraction(other)))
         self._check(other)
         return TruncatedSeries._trusted(self.n, self.trunc,
-                                        poly_mul(RationalRing, self.coeffs,
-                                                 other.coeffs, self.trunc))
+                                        poly_mul(self.coeffs, other.coeffs,
+                                                 self.trunc))
 
     __rmul__ = __mul__
 
@@ -222,8 +220,7 @@ class TruncatedSeries:
         if not 0 <= var < self.n:
             raise DimensionError(f"variable index {var} out of range")
         return TruncatedSeries._trusted(self.n, self.trunc,
-                                        poly_derive(RationalRing, self.coeffs,
-                                                    var))
+                                        poly_derive(self.coeffs, var))
 
     def compose(self, args):
         """Substitute args[i] (a series with zero constant term) for x_i."""
@@ -319,47 +316,6 @@ class TruncatedSeries:
         return s
 
 
-class SeriesRing:
-    """Truncated series as the coefficient ring of ``polymap`` maps."""
-
-    def __init__(self, n, trunc):
-        self.n = n
-        self.trunc = trunc
-        self.zero = TruncatedSeries.zero(n, trunc)
-        self.one = TruncatedSeries.const(1, n, trunc)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return a.reciprocal()
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-    @staticmethod
-    def is_unit(a):
-        return a.constant_term() != 0
-
-    @staticmethod
-    def derive(a, j):
-        return a.derive(j)
-
-    def rat(self, c):
-        return TruncatedSeries.const(c, self.n, self.trunc)
-
-
 def compose_all(series, args):
     """``s.compose(args)`` for every s in ``series``, in one batch: the
     image of each monomial under ``args`` is built once and shared."""
@@ -409,9 +365,8 @@ def reversion_system(fs):
     for f in fs:
         if f.constant_term() != 0:
             raise RecenteringError("reversion argument not centered at 0")
-    pmap = [f.coeffs for f in fs]
-    if matrix_inverse(RationalRing, pm_linear_part(RationalRing, pmap,
-                                                   n)) is None:
+    if matrix_inverse([[f.coefficient(unit_index(n, j)) for j in range(n)]
+                       for f in fs]) is None:
         raise NonUnitError("singular linear part in reversion")
     return [TruncatedSeries(n, trunc, g)
-            for g in pm_invert(RationalRing, pmap, trunc)]
+            for g in pm_invert(RationalRing, [f.coeffs for f in fs], trunc)]

@@ -231,6 +231,24 @@ def test_huge_constant_power_exits_two(tmp_path, capsys, power):
                    f"constant term would exceed 2^{cli.MAX_POWER_BITS}\n")
 
 
+LONG = "7" * 5001
+
+
+@pytest.mark.parametrize("relation", [f"p[1,0] = {LONG}*p[0,1]",
+                                      f"p[0,1] = x^{LONG}*p[1,0]",
+                                      f"p[{LONG},0] = 0"],
+                         ids=["coefficient", "exponent", "jet-index"])
+def test_long_number_literal_exits_two(tmp_path, capsys, relation):
+    # 5001 digits is past the interpreter's default limit of 4300 on
+    # int() of a decimal string
+    text = CASE1.replace("p[1,0] = 0", relation)
+    assert run(tmp_path, text, "--command", "symbol") == 2
+    col = text.splitlines()[4].index(LONG) + 1
+    assert capsys.readouterr().err == (f"error: line 5, col {col}: number "
+                                       f"literal of 5001 digits is too "
+                                       f"long\n")
+
+
 def test_large_powers_parse_exactly():
     assert _relations("p[0,1] = 2^64*p[1,0]") == \
         _relations(f"p[0,1] = {2 ** 64}*p[1,0]")
