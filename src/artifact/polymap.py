@@ -462,6 +462,14 @@ def poly_mul(p, q, deg):
     above deg."""
     if not p or not q or deg < 0:
         return {}
+    if len(p) > len(q):
+        p, q = q, p
+    if len(p) == 1:
+        # a monomial factor: one Fraction per output term without packing
+        (a, c), = p.items()
+        room = deg - sum(a)
+        return {index_add(a, b): c * v for b, v in q.items()
+                if sum(b) <= room}
     box = _box(len(next(iter(p))), deg)
     (dp, tp), (dq, tq) = _pack_map(box, [p, q], deg)
     acc = {}
