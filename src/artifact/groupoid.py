@@ -154,31 +154,26 @@ def _jet_map(box, sigma):
             for i in range(sigma.n)]
 
 
-def _coefficients(box, fmap):
-    """The coefficient series of a flat jet map in raw-derivative scaling:
-    {(dual part, i, alpha): {beta: Fraction}}, the dual part being the
-    key's factor in the groups between x and u."""
+def _jets(box, fmap, trunc, dual=0):
+    """(i, alpha) -> series in raw-derivative scaling of a flat jet map,
+    from its terms whose factor in the groups between x and u is the
+    monomial ``dual``."""
+    n = box.groups[0][0]
     u = len(box.groups) - 1
     out = {}
     for i, (den, terms) in enumerate(fmap):
         for k, v in terms.items():
             xk, uk = box.part(0, k), box.part(u, k)
+            if k - xk - uk != dual:
+                continue
             alpha = box.unpack(u, uk)
-            key = (k - xk - uk, i, alpha)
-            coeffs = out.get(key)
+            coeffs = out.get((i, alpha))
             if coeffs is None:
-                coeffs = out[key] = {}
+                coeffs = out[(i, alpha)] = {}
             coeffs[box.unpack(0, xk)] = Fraction(v * factorial_of(alpha),
                                                  den)
-    return out
-
-
-def _jets(box, fmap, trunc, dual=0):
-    """(i, alpha) -> series of the coefficients with the given dual part."""
-    n = box.groups[0][0]
-    return {(i, alpha): TruncatedSeries._trusted(n, trunc, coeffs)
-            for (d, i, alpha), coeffs in _coefficients(box, fmap).items()
-            if d == dual}
+    return {key: TruncatedSeries._trusted(n, trunc, coeffs)
+            for key, coeffs in out.items()}
 
 
 def _move(box, fmap, h):
