@@ -180,9 +180,14 @@ class _ExprParser:
             return int(text)
         except ValueError:
             # int() refuses literals longer than the interpreter's limit
-            # on integer string conversion (4300 digits by default)
-            raise ParseError(f"number literal of {len(text)} digits is too "
-                             f"long", self.line, col + 1) from None
+            # on integer string conversion (4300 digits by default), and
+            # digits such as '\u00b2' that str.isdigit() lets through
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and len(text) > limit:
+                msg = f"number literal of {len(text)} digits is too long"
+            else:
+                msg = f"invalid number literal {text!r}"
+            raise ParseError(msg, self.line, col + 1) from None
 
     def parse_expr(self):
         """The whole statement as one expression."""

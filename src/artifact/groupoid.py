@@ -385,13 +385,11 @@ def pushforward_equation(sigma, eq):
         raise OrderError("pushforward needs sigma of order >= k+1")
     sigma = sigma.project(eq.order + 1)
     n, trunc, k = eq.n, eq.trunc, eq.order
-    inv = jet_invert(sigma)
-    h = inv.base_map
-    # inv's jet at y is the fiber inverse of sigma's jet at h(y), so the
-    # fiber inverse of inv's jet is sigma's jet moved by h
-    box = _box(n, trunc, k + 1)
-    p = _jet_map(box, inv)
-    q = _move(box, _jet_map(box, sigma), h)
+    # the jet of sigma's inverse and its fiber inverse, both as functions
+    # of the image point y, x = h(y)
+    h = reversion_system(sigma.base_map)
+    box, p_s, q_s = _inverted(sigma)
+    p, q = _move(box, q_s, h), _move(box, p_s, h)
     # A new relation is sum c(h(y)) A(y) over the pushed basis vectors A:
     # re-centering A by sigma's base map and then substituting h would
     # give A back, as sigma.base_map o h = id to order trunc, so only the

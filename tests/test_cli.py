@@ -249,6 +249,19 @@ def test_long_number_literal_exits_two(tmp_path, capsys, relation):
                                        f"long\n")
 
 
+@pytest.mark.parametrize("relation", ["p[1,0] = \u00b2*p[0,1]",
+                                      "p[0,1] = x^\u2460*p[1,0]"],
+                         ids=["superscript-two", "circled-one"])
+def test_non_ascii_digit_literal_exits_two(tmp_path, capsys, relation):
+    # str.isdigit() holds for these characters but int() refuses them
+    text = CASE1.replace("p[1,0] = 0", relation)
+    assert run(tmp_path, text, "--command", "symbol") == 2
+    digit = relation.split("= ")[1].lstrip("x^")[0]
+    col = text.splitlines()[4].index(digit) + 1
+    assert capsys.readouterr().err == (f"error: line 5, col {col}: invalid "
+                                       f"number literal {digit!r}\n")
+
+
 def test_large_powers_parse_exactly():
     assert _relations("p[0,1] = 2^64*p[1,0]") == \
         _relations(f"p[0,1] = {2 ** 64}*p[1,0]")
