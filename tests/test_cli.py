@@ -232,34 +232,28 @@ def test_huge_constant_power_exits_two(tmp_path, capsys, power):
 
 
 LONG = "7" * 5001
+TOO_LONG = "number literal of 5001 digits is too long"
 
 
-@pytest.mark.parametrize("relation", [f"p[1,0] = {LONG}*p[0,1]",
-                                      f"p[0,1] = x^{LONG}*p[1,0]",
-                                      f"p[{LONG},0] = 0"],
-                         ids=["coefficient", "exponent", "jet-index"])
-def test_long_number_literal_exits_two(tmp_path, capsys, relation):
+@pytest.mark.parametrize("relation, literal, message", [
+    (f"p[1,0] = {LONG}*p[0,1]", LONG, TOO_LONG),
+    (f"p[0,1] = x^{LONG}*p[1,0]", LONG, TOO_LONG),
+    (f"p[{LONG},0] = 0", LONG, TOO_LONG),
+    # str.isdigit() holds for these characters but int() refuses them
+    ("p[1,0] = \u00b2*p[0,1]", "\u00b2", "invalid number literal '\u00b2'"),
+    ("p[0,1] = x^\u2460*p[1,0]", "\u2460",
+     "invalid number literal '\u2460'")],
+    ids=["coefficient", "exponent", "jet-index", "superscript-two",
+         "circled-one"])
+def test_bad_number_literal_exits_two(tmp_path, capsys, relation, literal,
+                                      message):
     # 5001 digits is past the interpreter's default limit of 4300 on
     # int() of a decimal string
     text = CASE1.replace("p[1,0] = 0", relation)
     assert run(tmp_path, text, "--command", "symbol") == 2
-    col = text.splitlines()[4].index(LONG) + 1
-    assert capsys.readouterr().err == (f"error: line 5, col {col}: number "
-                                       f"literal of 5001 digits is too "
-                                       f"long\n")
-
-
-@pytest.mark.parametrize("relation", ["p[1,0] = \u00b2*p[0,1]",
-                                      "p[0,1] = x^\u2460*p[1,0]"],
-                         ids=["superscript-two", "circled-one"])
-def test_non_ascii_digit_literal_exits_two(tmp_path, capsys, relation):
-    # str.isdigit() holds for these characters but int() refuses them
-    text = CASE1.replace("p[1,0] = 0", relation)
-    assert run(tmp_path, text, "--command", "symbol") == 2
-    digit = relation.split("= ")[1].lstrip("x^")[0]
-    col = text.splitlines()[4].index(digit) + 1
-    assert capsys.readouterr().err == (f"error: line 5, col {col}: invalid "
-                                       f"number literal {digit!r}\n")
+    col = text.splitlines()[4].index(literal) + 1
+    assert capsys.readouterr().err == (f"error: line 5, col {col}: "
+                                       f"{message}\n")
 
 
 def test_large_powers_parse_exactly():
